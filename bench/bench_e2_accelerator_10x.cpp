@@ -17,8 +17,8 @@
 #include <cstdio>
 
 #include "accel/offload.hpp"
-#include "accel/simd/measure.hpp"
 #include "bench_util.hpp"
+#include "simd_measure.hpp"
 
 int main() {
   using namespace rb;
@@ -55,7 +55,7 @@ int main() {
   std::printf("\nmeasured tuned-host kernels (dispatched SIMD vs scalar twin):\n");
   const auto print_measured = [](const char* name,
                                  const std::optional<
-                                     accel::simd::MeasuredKernel>& m) {
+                                     bench::MeasuredKernel>& m) {
     if (m.has_value()) {
       std::printf("  %-16s %8.4f ms -> %8.4f ms  %6.2fx  (measured, %s)\n",
                   name, m->scalar_ms, m->tuned_ms, m->speedup,
@@ -65,8 +65,8 @@ int main() {
                   name);
     }
   };
-  print_measured("select-scan", accel::simd::measure_select_scan(16384));
-  print_measured("hash-join probe", accel::simd::measure_join_probe(16384));
+  print_measured("select-scan", bench::measure_select_scan(16384));
+  print_measured("hash-join probe", bench::measure_join_probe(16384));
   bench::note("the tuned-CPU baseline above is real silicon wherever a SIMD");
   bench::note("unit exists - accelerator ROI is quoted against it, not a model.");
   return 0;

@@ -15,8 +15,8 @@
 #include <optional>
 
 #include "accel/offload.hpp"
-#include "accel/simd/measure.hpp"
 #include "bench_util.hpp"
+#include "simd_measure.hpp"
 
 int main() {
   using namespace rb;
@@ -28,8 +28,8 @@ int main() {
 
   // Measured CPU gaps (scalar twin = generic portable, dispatched SIMD =
   // device tuned). nullopt on scalar-only hosts -> modeled fallback.
-  const auto scan = accel::simd::measure_select_scan(16384);
-  const auto probe = accel::simd::measure_join_probe(16384);
+  const auto scan = bench::measure_select_scan(16384);
+  const auto probe = bench::measure_join_probe(16384);
 
   for (const auto block :
        {accel::BlockKind::kSelectScan, accel::BlockKind::kHashJoin,
@@ -40,7 +40,7 @@ int main() {
     for (const auto kind : devices) {
       const auto device = node::find_device(kind);
       if (!accel::supports(kind, block)) continue;
-      const std::optional<accel::simd::MeasuredKernel>* measured = nullptr;
+      const std::optional<bench::MeasuredKernel>* measured = nullptr;
       if (kind == node::DeviceKind::kCpu) {
         if (block == accel::BlockKind::kSelectScan) measured = &scan;
         if (block == accel::BlockKind::kHashJoin) measured = &probe;

@@ -17,7 +17,6 @@
 //     Exits 1 when any invariant fails (also in --quick mode, so CI runs
 //     the proof, not just the timing).
 
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -40,20 +39,6 @@ using rb::storage::FileDevice;
 using rb::storage::LsmOptions;
 using rb::storage::LsmStore;
 using rb::storage::MemDevice;
-
-template <typename Fn>
-double best_seconds(int reps, Fn&& fn) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    const double s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    if (s < best) best = s;
-  }
-  return best;
-}
 
 std::string bench_key(std::size_t i) {
   char buf[24];
@@ -114,7 +99,7 @@ int main(int argc, char** argv) {
       const std::size_t n = is_file && sync_every == 1
                                 ? (quick ? 300 : 1'000)
                                 : base_ops;
-      const double s = best_seconds(reps, [&] {
+      const double ms = rb::bench::best_ms(reps, [&] {
         if (std::strcmp(backend, "inmem") == 0) {
           LsmStore store{bench_opts};
           run_puts(store, n, sync_every);
@@ -132,7 +117,7 @@ int main(int argc, char** argv) {
           std::filesystem::remove_all(dir);
         }
       });
-      const double ns = s * 1e9 / static_cast<double>(n);
+      const double ns = ms * 1e6 / static_cast<double>(n);
       if (std::strcmp(backend, "inmem") == 0) inmem_ns = ns;
       const double ratio = inmem_ns > 0.0 ? ns / inmem_ns : 0.0;
       std::printf("  %-10s %-6zu %8zu %12.0f %7.1fx\n", backend, sync_every,
@@ -159,14 +144,14 @@ int main(int argc, char** argv) {
       run_puts(store, n, /*sync_every=*/64);
     }
     std::uint64_t replayed = 0;
-    const double s = best_seconds(reps, [&] {
+    const double ms = rb::bench::best_ms(reps, [&] {
       LsmStore recovered{replay_opts, device};
       replayed = recovered.recovery_info().wal_records_replayed;
     });
-    const double per_s = replayed / s;
-    std::printf("  %-10zu %12.3f %14.0f\n", n, s * 1e3, per_s);
+    const double per_s = replayed / (ms / 1e3);
+    std::printf("  %-10zu %12.3f %14.0f\n", n, ms, per_s);
     const std::string tag = "recovery.wal" + std::to_string(n);
-    report.metric(tag + ".ms", s * 1e3);
+    report.metric(tag + ".ms", ms);
     report.metric(tag + ".records_per_s", per_s);
   }
 
@@ -180,29 +165,26 @@ int main(int argc, char** argv) {
   CrashFuzzResult crash_total;
   CrashFuzzResult lying_total;
   CrashFuzzResult flip_total;
-  const auto fuzz_t0 = std::chrono::steady_clock::now();
-  for (const std::uint64_t seed : seeds) {
-    CrashFuzzConfig cfg;
-    cfg.seed = seed;
-    if (quick) {
-      cfg.ops = 120;
-      cfg.key_space = 32;
-      cfg.tears = {0, 3, 17};
+  const double fuzz_s = rb::bench::time_ms([&] {
+    for (const std::uint64_t seed : seeds) {
+      CrashFuzzConfig cfg;
+      cfg.seed = seed;
+      if (quick) {
+        cfg.ops = 120;
+        cfg.key_space = 32;
+        cfg.tears = {0, 3, 17};
+      }
+      crash_total.merge(rb::storage::run_crash_fuzz(cfg));
+
+      CrashFuzzConfig lying = cfg;
+      lying.drop_sync_rate = 0.3;  // the disk lies about fsync
+      lying_total.merge(rb::storage::run_crash_fuzz(lying));
+
+      CrashFuzzConfig flips = cfg;
+      flips.flip_stride = quick ? 53 : 23;
+      flip_total.merge(rb::storage::run_bitflip_fuzz(flips));
     }
-    crash_total.merge(rb::storage::run_crash_fuzz(cfg));
-
-    CrashFuzzConfig lying = cfg;
-    lying.drop_sync_rate = 0.3;  // the disk lies about fsync
-    lying_total.merge(rb::storage::run_crash_fuzz(lying));
-
-    CrashFuzzConfig flips = cfg;
-    flips.flip_stride = quick ? 53 : 23;
-    flip_total.merge(rb::storage::run_bitflip_fuzz(flips));
-  }
-  const double fuzz_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    fuzz_t0)
-          .count();
+  }) / 1e3;
 
   const auto print_fuzz = [](const char* mode, const CrashFuzzResult& r) {
     std::printf("  %-22s %8llu %8llu %8llu %8llu %s\n", mode,

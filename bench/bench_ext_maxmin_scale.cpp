@@ -14,7 +14,6 @@
 // wall-clock ceiling on the full max-min solve so gross allocator
 // regressions fail CI without flaky thresholds.
 
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <functional>
@@ -85,19 +84,17 @@ CaseResult run_case(int k, int n, int churn, bool rack_local,
                           1 * sim::kMiB + rng.uniform_index(4 * sim::kMiB),
                           on_done);
       };
-  const auto t0 = std::chrono::steady_clock::now();
-  for (int i = 0; i < n; ++i) {
-    net::NodeId src, dst;
-    pick(src, dst);
-    fabric.start_flow(src, dst,
-                      1 * sim::kMiB + rng.uniform_index(4 * sim::kMiB),
-                      on_done);
-  }
-  sim.run();
   CaseResult r;
-  r.wall_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  r.wall_s = bench::time_ms([&] {
+    for (int i = 0; i < n; ++i) {
+      net::NodeId src, dst;
+      pick(src, dst);
+      fabric.start_flow(src, dst,
+                        1 * sim::kMiB + rng.uniform_index(4 * sim::kMiB),
+                        on_done);
+    }
+    sim.run();
+  }) / 1e3;
   r.events = static_cast<double>(fabric.started_flows() +
                                  fabric.completed_flows() +
                                  fabric.failed_flows() +

@@ -11,7 +11,6 @@
 // (report-only under sanitizer builds, whose per-access overhead distorts
 // ratios).
 
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <limits>
@@ -99,20 +98,6 @@ bool tables_equal(const Table& a, const Table& b) {
   return true;
 }
 
-template <typename Fn>
-double best_seconds(int reps, Fn&& fn) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    const double s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    if (s < best) best = s;
-  }
-  return best;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -146,7 +131,7 @@ int main(int argc, char** argv) {
     for (const bool items_probe : {true, false}) {
       const Query query = make_query(tables, items_probe);
       const Table reference = query.run();
-      const double fluent_s = best_seconds(reps, [&query] {
+      const double fluent_ms = rb::bench::best_ms(reps, [&query] {
         const Table t = query.run();
         if (t.row_count() > 10) std::abort();  // keep the result live
       });
@@ -156,24 +141,24 @@ int main(int argc, char** argv) {
         opts.batch_size = batch;
         const bool identical = tables_equal(plan.run(opts), reference);
         all_identical = all_identical && identical;
-        const double vec_s = best_seconds(reps, [&plan, &opts] {
+        const double vec_ms = rb::bench::best_ms(reps, [&plan, &opts] {
           const Table t = plan.run(opts);
           if (t.row_count() > 10) std::abort();
         });
-        const double speedup = fluent_s / vec_s;
+        const double speedup = fluent_ms / vec_ms;
         if (n_orders == scales.back() && items_probe && batch == 1024) {
           gate_speedup = speedup;
         }
         std::printf("  %-9zu %-11s %-6zu %10.2f %12.2f %8.2fx %s\n",
                     n_orders, items_probe ? "items|orders" : "orders|items",
-                    batch, fluent_s * 1e3, vec_s * 1e3, speedup,
+                    batch, fluent_ms, vec_ms, speedup,
                     identical ? "yes" : "NO");
         const std::string tag =
             std::to_string(n_orders) + "." +
             (items_probe ? "items_probe" : "orders_probe") + ".b" +
             std::to_string(batch);
-        report.metric(tag + ".fluent_ms", fluent_s * 1e3);
-        report.metric(tag + ".vector_ms", vec_s * 1e3);
+        report.metric(tag + ".fluent_ms", fluent_ms);
+        report.metric(tag + ".vector_ms", vec_ms);
         report.metric(tag + ".speedup", speedup);
       }
     }
@@ -198,10 +183,11 @@ int main(int argc, char** argv) {
             .build();
     const Table reference = make_query(tables, /*items_probe=*/true).run();
     lsm_identical = tables_equal(plan.run(), reference);
-    const double lsm_s = best_seconds(reps, [&plan] { (void)plan.run(); });
+    const double lsm_ms =
+        rb::bench::best_ms(reps, [&plan] { (void)plan.run(); });
     std::printf("  lsm-backed scan (%zu orders): %.2f ms, identical: %s\n",
-                scales.front(), lsm_s * 1e3, lsm_identical ? "yes" : "NO");
-    report.metric("lsm.vector_ms", lsm_s * 1e3);
+                scales.front(), lsm_ms, lsm_identical ? "yes" : "NO");
+    report.metric("lsm.vector_ms", lsm_ms);
   }
 
   const bool gate_ok = !quick || gate_speedup >= 3.0 || kSanitized;

@@ -3,7 +3,7 @@
 // Section 1 sweeps the dispatched SIMD kernels (selection scan, hash-probe,
 // selected-sum) across every ISA level this CPU reaches, on 64-byte-aligned
 // cache-resident inputs. Section 2 reports the headline tuned-vs-scalar
-// gaps through accel::simd::measure_* — the same numbers E2/E8 consume.
+// gaps through simd_measure.hpp — the same numbers E2/E8 consume.
 // Section 3 (full mode only) times the remaining blocks backing E2/E10:
 // radix hash join (partitioning ablation), radix sort, group aggregation,
 // blocked GEMM, Aho-Corasick matching, tokenization.
@@ -15,9 +15,7 @@
 // and is report-only under sanitizer builds, whose per-access
 // instrumentation distorts kernel ratios.
 
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <vector>
 
@@ -25,17 +23,18 @@
 #include "accel/gemm.hpp"
 #include "accel/hash_join.hpp"
 #include "accel/scan.hpp"
-#include "accel/simd/measure.hpp"
 #include "accel/simd/simd.hpp"
 #include "accel/sort.hpp"
 #include "accel/text.hpp"
 #include "bench_util.hpp"
 #include "sim/random.hpp"
+#include "simd_measure.hpp"
 #include "workloads/generators.hpp"
 
 namespace {
 
 using namespace rb;
+using bench::best_ms;
 namespace simd = accel::simd;
 
 #if defined(RB_SANITIZED)
@@ -49,35 +48,6 @@ constexpr bool kSanitized = false;
 /// memory bandwidth and the sweep measures the machine, not the code.
 constexpr std::size_t kRows = 16384;
 
-template <typename Fn>
-double best_ms(int attempts, Fn&& fn) {
-  double best = 1e300;
-  for (int a = 0; a < attempts; ++a) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    const double ms = std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-    if (ms < best) best = ms;
-  }
-  return best;
-}
-
-/// 64-byte-aligned buffer: an unaligned 64B vector load splits two cache
-/// lines and halves effective L1 bandwidth on this class of core.
-template <typename T>
-struct Aligned {
-  explicit Aligned(std::size_t n)
-      : p{static_cast<T*>(
-            std::aligned_alloc(64, ((n * sizeof(T) + 63) / 64) * 64))},
-        size{n} {}
-  ~Aligned() { std::free(p); }
-  Aligned(const Aligned&) = delete;
-  Aligned& operator=(const Aligned&) = delete;
-  T* p;
-  std::size_t size;
-};
-
 std::vector<simd::Isa> reachable_isas() {
   std::vector<simd::Isa> out{simd::Isa::kScalar};
   for (const simd::Isa isa :
@@ -89,21 +59,17 @@ std::vector<simd::Isa> reachable_isas() {
 
 /// Per-ISA kernel sweep: GRows/s for the three scan-side kernels.
 void sweep_isas(bench::Report& report) {
-  Aligned<std::int64_t> values{kRows};
-  Aligned<std::uint32_t> sel{kRows};
-  sim::Rng rng{11};
-  for (std::size_t i = 0; i < kRows; ++i) {
-    values.p[i] = static_cast<std::int64_t>(rng.uniform_index(1000));
-  }
+  bench::Aligned<std::int64_t> values{kRows};
+  bench::Aligned<std::uint32_t> sel{kRows};
+  bench::fill_scan_column(values, kRows, 11);
   const std::size_t m_all =
       simd::scalar_kernels().select_between(values.p, kRows, 250, 750, sel.p);
   const int reps = static_cast<int>((1u << 22) / kRows) + 1;
 
   std::printf("  %-8s %14s %14s %14s\n", "isa", "select GR/s", "count GR/s",
               "sum GR/s");
-  const simd::Isa entry = simd::active_isa();
   for (const simd::Isa isa : reachable_isas()) {
-    simd::set_isa(isa);
+    const bench::IsaGuard guard{isa};
     const auto& k = simd::kernels();
     volatile std::uint64_t sink = 0;
     const double sel_ms = best_ms(5, [&] {
@@ -146,7 +112,6 @@ void sweep_isas(bench::Report& report) {
     report.metric(tag + ".count_grows", grows(kRows, cnt_ms));
     report.metric(tag + ".sum_grows", grows(m_all, sum_ms));
   }
-  simd::set_isa(entry);
 }
 
 /// Full-mode block timings (the pre-SIMD micro-benchmark set).
@@ -263,7 +228,7 @@ int main(int argc, char** argv) {
   double scan_speedup = 1.0;
   double probe_speedup = 1.0;
   std::printf("\n  tuned vs scalar (best of 7, %zu rows):\n", kRows);
-  if (const auto scan = simd::measure_select_scan(kRows)) {
+  if (const auto scan = bench::measure_select_scan(kRows)) {
     scan_speedup = scan->speedup;
     std::printf("    selection scan   %-7s %8.4f ms -> %8.4f ms  %6.2fx\n",
                 simd::to_string(scan->isa), scan->scalar_ms, scan->tuned_ms,
@@ -273,7 +238,7 @@ int main(int argc, char** argv) {
   } else {
     std::printf("    selection scan   no SIMD unit usable (scalar host)\n");
   }
-  if (const auto probe = simd::measure_join_probe(kRows)) {
+  if (const auto probe = bench::measure_join_probe(kRows)) {
     probe_speedup = probe->speedup;
     std::printf("    hash-join probe  %-7s %8.4f ms -> %8.4f ms  %6.2fx\n",
                 simd::to_string(probe->isa), probe->scalar_ms,

@@ -1,12 +1,16 @@
 #pragma once
 // Shared bench runner: the formatting helpers the experiment benches print
-// their paper-style tables with, plus a machine-readable telemetry `Report`.
+// their paper-style tables with, the wall-clock timing helpers (the only
+// place under bench/ that reads the clock), plus a machine-readable
+// telemetry `Report`.
 // Every bench that constructs a Report accepts `--json <path>` (or the
 // RB_BENCH_JSON environment variable) and writes one JSON document
 //   {"bench": <name>, "config": {...}, "metrics": {...}}
 // on exit, so CI and sweep scripts can consume results without scraping the
 // human tables.
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -28,6 +32,58 @@ inline void heading(const std::string& id, const std::string& title) {
 
 inline void note(const std::string& text) {
   std::printf("  %s\n", text.c_str());
+}
+
+/// Wall-clock milliseconds one call of `fn` takes.
+template <typename Fn>
+double time_ms(Fn&& fn) {
+  const auto t0 = std::chrono::steady_clock::now();
+  fn();
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+/// The fastest of `n` calls of `fn`, in milliseconds.
+template <typename Fn>
+double best_ms(int n, Fn&& fn) {
+  double best = 1e300;
+  for (int i = 0; i < n; ++i) best = std::min(best, time_ms(fn));
+  return best;
+}
+
+struct Paired {
+  double base_ms = 1e300;  // fastest base sample
+  double cand_ms = 1e300;  // fastest candidate sample
+  double ratio = 0.0;      // median of the per-pair cand/base ratios
+};
+
+/// `n` back-to-back (base, cand) sample pairs, alternating which side runs
+/// first. Frequency drift and scheduler noise hit both halves of a pair, so
+/// the median per-pair ratio is far steadier than the ratio of two
+/// independent minima.
+template <typename Base, typename Cand>
+Paired paired_ms(int n, Base&& base, Cand&& cand) {
+  Paired out;
+  std::vector<double> ratios;
+  ratios.reserve(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    double b = 0.0;
+    double c = 0.0;
+    if (i % 2 == 0) {
+      b = time_ms(base);
+      c = time_ms(cand);
+    } else {
+      c = time_ms(cand);
+      b = time_ms(base);
+    }
+    out.base_ms = std::min(out.base_ms, b);
+    out.cand_ms = std::min(out.cand_ms, c);
+    ratios.push_back(c / b);
+  }
+  std::sort(ratios.begin(), ratios.end());
+  out.ratio = ratios[static_cast<std::size_t>(n / 2)];
+  return out;
 }
 
 /// Machine-readable bench telemetry. Construct one per bench with argc/argv;

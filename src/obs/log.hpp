@@ -1,7 +1,6 @@
 #pragma once
-// Leveled, component-tagged logging for the whole stack. This is the single
-// implementation behind rb::sim's legacy logging API and the per-component
-// `Logger` objects used by net/sched/faults.
+// Leveled, component-tagged logging for the whole stack: the free
+// log_line() and the per-component `Logger` objects used by net/sched/faults.
 //
 // Thread-safety: the global level is a std::atomic (safe to mutate while
 // other threads log) and every emitted line is serialized under one mutex,

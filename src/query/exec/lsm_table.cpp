@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "storage/wal.hpp"
+
 namespace rb::query::exec {
 
 namespace {
@@ -22,66 +24,6 @@ std::string row_key(const std::string& name, std::uint64_t row) {
   return table_prefix(name) + "!r!" + std::string{digits, kRowIdDigits};
 }
 
-void append_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void append_i64(std::string& out, std::int64_t v) {
-  const auto u = static_cast<std::uint64_t>(v);
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((u >> (8 * i)) & 0xff));
-  }
-}
-
-class Cursor {
- public:
-  explicit Cursor(const std::string& data) : data_{data} {}
-
-  std::uint32_t read_u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(
-               static_cast<unsigned char>(data_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 4;
-    return v;
-  }
-
-  std::int64_t read_i64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(
-               static_cast<unsigned char>(data_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 8;
-    return static_cast<std::int64_t>(v);
-  }
-
-  std::string read_bytes(std::size_t n) {
-    need(n);
-    std::string v = data_.substr(pos_, n);
-    pos_ += n;
-    return v;
-  }
-
-  bool exhausted() const noexcept { return pos_ == data_.size(); }
-
- private:
-  void need(std::size_t n) const {
-    if (pos_ + n > data_.size()) {
-      throw std::runtime_error{"lsm_table: truncated record"};
-    }
-  }
-  const std::string& data_;
-  std::size_t pos_ = 0;
-};
-
 void validate_name(const std::string& name) {
   if (name.empty())
     throw std::invalid_argument{"lsm_table: empty table name"};
@@ -90,33 +32,32 @@ void validate_name(const std::string& name) {
 }
 
 SchemaPtr decode_schema(const std::string& record) {
-  Cursor cur{record};
-  const std::uint32_t n = cur.read_u32();
+  storage::ByteReader in{record};
+  const std::uint32_t n = in.u32();
   auto schema = std::make_shared<BatchSchema>();
   for (std::uint32_t i = 0; i < n; ++i) {
-    const char tag = cur.read_bytes(1)[0];
-    const std::uint32_t len = cur.read_u32();
-    std::string col = cur.read_bytes(len);
-    schema->add(std::move(col),
+    const char tag = static_cast<char>(in.u8());
+    const std::uint32_t len = in.u32();
+    schema->add(std::string{in.bytes(len)},
                 tag == 'i' ? ColumnType::kInt : ColumnType::kString);
   }
-  if (!cur.exhausted())
+  if (!in.exhausted())
     throw std::runtime_error{"lsm_table: trailing bytes in schema record"};
   return schema;
 }
 
 void decode_row(const std::string& value, const BatchSchema& schema,
                 ColumnBatch& out) {
-  Cursor cur{value};
+  storage::ByteReader in{value};
   for (std::size_t c = 0; c < schema.column_count(); ++c) {
     if (schema.at(c).type == ColumnType::kInt) {
-      out.ints(c).push_back(cur.read_i64());
+      out.ints(c).push_back(static_cast<std::int64_t>(in.u64()));
     } else {
-      const std::uint32_t len = cur.read_u32();
-      out.strings(c).push_back(cur.read_bytes(len));
+      const std::uint32_t len = in.u32();
+      out.strings(c).emplace_back(in.bytes(len));
     }
   }
-  if (!cur.exhausted())
+  if (!in.exhausted())
     throw std::runtime_error{"lsm_table: trailing bytes in row record"};
 }
 
@@ -131,11 +72,11 @@ void store_table(storage::LsmStore& store, const std::string& name,
 
   const auto names = table.column_names();
   std::string schema_record;
-  append_u32(schema_record, static_cast<std::uint32_t>(names.size()));
+  storage::append_u32(schema_record, static_cast<std::uint32_t>(names.size()));
   for (const auto& col : names) {
     schema_record.push_back(
         table.column_type(col) == ColumnType::kInt ? 'i' : 's');
-    append_u32(schema_record, static_cast<std::uint32_t>(col.size()));
+    storage::append_u32(schema_record, static_cast<std::uint32_t>(col.size()));
     schema_record += col;
   }
   store.put(schema_key(name), std::move(schema_record));
@@ -156,10 +97,11 @@ void store_table(storage::LsmStore& store, const std::string& name,
     std::string value;
     for (std::size_t c = 0; c < names.size(); ++c) {
       if (int_cols[c] != nullptr) {
-        append_i64(value, (*int_cols[c])[r]);
+        storage::append_u64(value,
+                           static_cast<std::uint64_t>((*int_cols[c])[r]));
       } else {
         const std::string& s = (*str_cols[c])[r];
-        append_u32(value, static_cast<std::uint32_t>(s.size()));
+        storage::append_u32(value, static_cast<std::uint32_t>(s.size()));
         value += s;
       }
     }

@@ -72,7 +72,8 @@ TEST(RequestTracer, DecomposesWinningAttempt) {
   tr.mark_won(root.trace_id, attempt);
   ASSERT_TRUE(tr.finish(root.trace_id, 100, TraceOutcome::kCompleted));
 
-  const CriticalPath& p = tr.exemplars()[0].path;
+  const auto ex = tr.exemplars();
+  const CriticalPath& p = ex[0].path;
   EXPECT_EQ(p.total_ps, 100);
   EXPECT_EQ(p.network_ps, 20);
   EXPECT_EQ(p.queue_ps, 30);
@@ -102,7 +103,8 @@ TEST(RequestTracer, CreditsAbandonedWaveWaits) {
   tr.mark_won(root.trace_id, a2);
   ASSERT_TRUE(tr.finish(root.trace_id, 100, TraceOutcome::kCompleted));
 
-  const CriticalPath& p = tr.exemplars()[0].path;
+  const auto ex = tr.exemplars();
+  const CriticalPath& p = ex[0].path;
   EXPECT_EQ(p.queue_ps, 60);
   EXPECT_EQ(p.backoff_ps, 10);
   EXPECT_EQ(p.service_ps, 30);
@@ -127,7 +129,8 @@ TEST(RequestTracer, OverlappingZombiesNeverDoubleBill) {
   tr.mark_won(root.trace_id, w);
   ASSERT_TRUE(tr.finish(root.trace_id, 100, TraceOutcome::kCompleted));
 
-  const CriticalPath& p = tr.exemplars()[0].path;
+  const auto ex = tr.exemplars();
+  const CriticalPath& p = ex[0].path;
   EXPECT_EQ(p.queue_ps, 80);  // not 160
   EXPECT_EQ(p.service_ps, 20);
   EXPECT_EQ(p.total_ps, 100);
@@ -150,7 +153,8 @@ TEST(RequestTracer, WinningHedgeChargesHedgeWait) {
   tr.mark_won(root.trace_id, hedge);
   ASSERT_TRUE(tr.finish(root.trace_id, 50, TraceOutcome::kCompleted));
 
-  const CriticalPath& p = tr.exemplars()[0].path;
+  const auto ex = tr.exemplars();
+  const CriticalPath& p = ex[0].path;
   EXPECT_EQ(p.hedge_wait_ps, 30);
   EXPECT_EQ(p.service_ps, 20);
   EXPECT_EQ(p.other_ps, 0);
@@ -172,7 +176,8 @@ TEST(RequestTracer, LosingHedgeWaitIsFree) {
   tr.mark_won(root.trace_id, primary);
   ASSERT_TRUE(tr.finish(root.trace_id, 40, TraceOutcome::kCompleted));
 
-  const CriticalPath& p = tr.exemplars()[0].path;
+  const auto ex = tr.exemplars();
+  const CriticalPath& p = ex[0].path;
   EXPECT_EQ(p.hedge_wait_ps, 0);
   EXPECT_EQ(p.service_ps, 40);
 }
@@ -210,7 +215,8 @@ TEST(RequestTracer, OpenSpansClampToFinishTime) {
   const TraceContext root = tr.start_trace("get", 0);
   const std::uint64_t q = tr.begin_span(root, Segment::kQueue, "queue", 10);
   ASSERT_TRUE(tr.finish(root.trace_id, 100, TraceOutcome::kFailed));
-  for (const CausalSpan& s : tr.exemplars()[0].spans) {
+  const auto ex = tr.exemplars();
+  for (const CausalSpan& s : ex[0].spans) {
     if (s.span_id == q) {
       EXPECT_EQ(s.end_ps, 100);
     }

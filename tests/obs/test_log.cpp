@@ -98,6 +98,37 @@ TEST_F(LogTest, EmittedLinesBumpTheLogLinesCounter) {
   EXPECT_EQ(counter.value(), before + 2);
 }
 
+// The level API and the free log_line(), outside any Logger.
+using Log = LogTest;
+
+TEST_F(Log, LevelsAreOrdered) {
+  EXPECT_LT(LogLevel::kDebug, LogLevel::kInfo);
+  EXPECT_LT(LogLevel::kInfo, LogLevel::kWarning);
+  EXPECT_LT(LogLevel::kWarning, LogLevel::kError);
+  EXPECT_LT(LogLevel::kError, LogLevel::kOff);
+}
+
+TEST_F(Log, SetAndGetLevel) {
+  set_log_level(LogLevel::kError);
+  EXPECT_EQ(log_level(), LogLevel::kError);
+  set_log_level(LogLevel::kDebug);
+  EXPECT_EQ(log_level(), LogLevel::kDebug);
+}
+
+TEST_F(Log, SuppressedBelowThresholdAndStreamCompiles) {
+  set_log_level(LogLevel::kOff);
+  log_line(LogLevel::kError, "test", "suppressed");
+  const Logger log{"test"};
+  log.debug() << "value=" << 42;
+  EXPECT_TRUE(captured().empty());
+
+  set_log_level(LogLevel::kWarning);
+  log_line(LogLevel::kInfo, "test", "below threshold");
+  log_line(LogLevel::kWarning, "test", "kept");
+  ASSERT_EQ(captured().size(), 1u);
+  EXPECT_EQ(captured()[0], "[WARN] test: kept");
+}
+
 TEST_F(LogTest, DisabledObsSkipsTheCounterButStillLogs) {
   set_log_level(LogLevel::kInfo);
   set_enabled(false);

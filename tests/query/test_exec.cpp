@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "query/exec/lsm_table.hpp"
@@ -314,6 +317,30 @@ TEST(LsmTable, RejectsBadNames) {
   EXPECT_THROW(store_table(store, "", people()), std::invalid_argument);
   EXPECT_THROW(store_table(store, "a!b", people()), std::invalid_argument);
   EXPECT_THROW(load_table(store, "missing"), std::invalid_argument);
+}
+
+/// Stores people() and rewrites row 1's record with `edit` applied, using
+/// the documented "t!<table>!r!<rowid %010u>" key layout.
+template <typename Edit>
+void store_people_with_edited_row(storage::LsmStore& store, Edit edit) {
+  store_table(store, "people", people());
+  const std::string key = "t!people!r!0000000001";
+  auto value = store.get(key);
+  ASSERT_TRUE(value.has_value());
+  edit(*value);
+  store.put(key, *value);
+}
+
+TEST(LsmTable, TruncatedRowThrows) {
+  storage::LsmStore store{storage::LsmOptions{}};
+  store_people_with_edited_row(store, [](std::string& v) { v.pop_back(); });
+  EXPECT_THROW(load_table(store, "people"), std::runtime_error);
+}
+
+TEST(LsmTable, RowWithTrailingBytesThrows) {
+  storage::LsmStore store{storage::LsmOptions{}};
+  store_people_with_edited_row(store, [](std::string& v) { v.push_back('x'); });
+  EXPECT_THROW(load_table(store, "people"), std::runtime_error);
 }
 
 TEST(LsmTable, ScanIsByteIdenticalToInMemoryPlan) {

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/log.hpp"
-
 namespace rb::sim {
 namespace {
 
@@ -43,32 +41,6 @@ TEST(Units, SerializationScalesInverselyWithRate) {
   const auto slow = serialization_time(1'000'000, 10e9);
   const auto fast = serialization_time(1'000'000, 40e9);
   EXPECT_EQ(slow, 4 * fast);
-}
-
-TEST(Log, LevelsAreOrdered) {
-  EXPECT_LT(LogLevel::kDebug, LogLevel::kInfo);
-  EXPECT_LT(LogLevel::kInfo, LogLevel::kWarning);
-  EXPECT_LT(LogLevel::kWarning, LogLevel::kError);
-  EXPECT_LT(LogLevel::kError, LogLevel::kOff);
-}
-
-// LogLevel is an alias for obs::LogLevel, so unqualified calls would be
-// ambiguous between the sim facade and the obs originals via ADL; qualify.
-TEST(Log, SetAndGetLevel) {
-  const auto original = sim::log_level();
-  sim::set_log_level(LogLevel::kError);
-  EXPECT_EQ(sim::log_level(), LogLevel::kError);
-  sim::set_log_level(original);
-}
-
-TEST(Log, SuppressedBelowThresholdAndStreamCompiles) {
-  const auto original = sim::log_level();
-  sim::set_log_level(LogLevel::kOff);
-  // Nothing observable to assert on stderr without capturing it; this
-  // exercises the full path (format, level check) for sanitizers.
-  sim::log_line(LogLevel::kError, "test", "suppressed");
-  LogStream{LogLevel::kDebug, "test"} << "value=" << 42;
-  sim::set_log_level(original);
 }
 
 }  // namespace
