@@ -1,6 +1,8 @@
 #include "query/exec/lsm_table.hpp"
 
 #include <stdexcept>
+#include <string_view>
+#include <vector>
 
 #include "storage/wal.hpp"
 
@@ -16,12 +18,21 @@ std::string schema_key(const std::string& name) {
   return table_prefix(name) + "!s";
 }
 
+/// The row keys of `name` sort in [rows_begin, rows_end): '"' follows the
+/// '!' separator.
+std::string rows_begin(const std::string& name) {
+  return table_prefix(name) + "!r!";
+}
+std::string rows_end(const std::string& name) {
+  return table_prefix(name) + "!r\"";
+}
+
 std::string row_key(const std::string& name, std::uint64_t row) {
   char digits[kRowIdDigits];
   for (std::size_t i = kRowIdDigits; i-- > 0; row /= 10) {
     digits[i] = static_cast<char>('0' + row % 10);
   }
-  return table_prefix(name) + "!r!" + std::string{digits, kRowIdDigits};
+  return rows_begin(name) + std::string{digits, kRowIdDigits};
 }
 
 void validate_name(const std::string& name) {
@@ -37,6 +48,8 @@ SchemaPtr decode_schema(const std::string& record) {
   auto schema = std::make_shared<BatchSchema>();
   for (std::uint32_t i = 0; i < n; ++i) {
     const char tag = static_cast<char>(in.u8());
+    if (tag != 'i' && tag != 's')
+      throw std::runtime_error{"lsm_table: unknown column tag in schema"};
     const std::uint32_t len = in.u32();
     schema->add(std::string{in.bytes(len)},
                 tag == 'i' ? ColumnType::kInt : ColumnType::kString);
@@ -46,19 +59,14 @@ SchemaPtr decode_schema(const std::string& record) {
   return schema;
 }
 
-void decode_row(const std::string& value, const BatchSchema& schema,
-                ColumnBatch& out) {
-  storage::ByteReader in{value};
-  for (std::size_t c = 0; c < schema.column_count(); ++c) {
-    if (schema.at(c).type == ColumnType::kInt) {
-      out.ints(c).push_back(static_cast<std::int64_t>(in.u64()));
-    } else {
-      const std::uint32_t len = in.u32();
-      out.strings(c).emplace_back(in.bytes(len));
-    }
+SchemaPtr load_schema(const storage::LsmStore& store,
+                      const std::string& name) {
+  validate_name(name);
+  const auto record = store.get(schema_key(name));
+  if (!record.has_value()) {
+    throw std::invalid_argument{"lsm_table: no table named " + name};
   }
-  if (!in.exhausted())
-    throw std::runtime_error{"lsm_table: trailing bytes in row record"};
+  return decode_schema(*record);
 }
 
 }  // namespace
@@ -107,32 +115,48 @@ void store_table(storage::LsmStore& store, const std::string& name,
     }
     store.put(row_key(name, r), std::move(value));
   }
+  // Rows a previous table of this name had beyond the new row count. The
+  // keys are copied out first: erasing invalidates the cursor.
+  std::vector<std::string> stale;
+  for (auto c = store.cursor(row_key(name, table.row_count()), rows_end(name));
+       c.valid(); c.next()) {
+    stale.emplace_back(c.key());
+  }
+  for (std::string& key : stale) store.erase(std::move(key));
   // One group commit covers the whole table: on a durable store nothing
   // above is acked until the WAL is fsynced, and a crash mid-store leaves a
   // prefix of rows that recovery replays (never a row with a hole in it).
   store.sync();
 }
 
-LsmSource::LsmSource(const storage::LsmStore* store, std::string name) {
-  validate_name(name);
-  const auto schema_record = store->get(schema_key(name));
-  if (!schema_record.has_value()) {
-    throw std::invalid_argument{"lsm_table: no table named " + name};
-  }
-  schema_ = decode_schema(*schema_record);
-  const std::string lo = table_prefix(name) + "!r!";
-  const std::string hi = table_prefix(name) + "!r" + char('!' + 1);
-  rows_ = store->scan(lo, hi);
-}
+LsmSource::LsmSource(const storage::LsmStore* store, std::string name)
+    : schema_{load_schema(*store, name)},
+      cursor_{store->cursor(rows_begin(name), rows_end(name))},
+      columns_(schema_->column_count()) {}
 
 bool LsmSource::next(ColumnBatch& out) {
-  if (pos_ >= rows_.size()) return false;
-  const std::size_t n = std::min(out.capacity(), rows_.size() - pos_);
-  for (std::size_t i = 0; i < n; ++i) {
-    decode_row(rows_[pos_ + i].second, *schema_, out);
+  // Column vectors resolved once per batch, outside the row loop.
+  for (std::size_t c = 0; c < columns_.size(); ++c) {
+    const bool is_int = schema_->at(c).type == ColumnType::kInt;
+    columns_[c] = {is_int ? &out.ints(c) : nullptr,
+                   is_int ? nullptr : &out.strings(c)};
   }
+  std::size_t n = 0;
+  for (; n < out.capacity() && cursor_.valid(); ++n, cursor_.next()) {
+    storage::ByteReader in{cursor_.value()};
+    for (const Column& col : columns_) {
+      if (col.ints != nullptr) {
+        col.ints->push_back(static_cast<std::int64_t>(in.u64()));
+      } else {
+        const std::uint32_t len = in.u32();
+        col.strings->emplace_back(in.bytes(len));
+      }
+    }
+    if (!in.exhausted())
+      throw std::runtime_error{"lsm_table: trailing bytes in row record"};
+  }
+  if (n == 0) return false;
   out.set_row_count(n);
-  pos_ += n;
   rows_emitted += n;
   return true;
 }

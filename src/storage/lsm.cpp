@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <memory>
 #include <set>
 #include <stdexcept>
 
@@ -337,31 +338,124 @@ std::optional<std::string> LsmStore::get(std::string_view key) const {
   return result;
 }
 
-std::vector<std::pair<std::string, std::string>> LsmStore::scan(
-    std::string_view lo, std::string_view hi) const {
-  // Merge the memtable and every run, newest occurrence of a key winning.
-  std::map<std::string, MemEntry, std::less<>> merged;
-  // Oldest first so newer inserts overwrite.
-  for (auto level = levels_.rbegin(); level != levels_.rend(); ++level) {
-    for (const auto& run : *level) {
-      for (const auto& e : run.entries()) {
-        if (e.key < lo || (!hi.empty() && !(e.key < hi))) continue;
-        merged[e.key] = MemEntry{e.value, e.tombstone};
-      }
+LsmStore::Cursor LsmStore::cursor(std::string_view lo,
+                                  std::string_view hi) const {
+  if (!hi.empty() && !(lo < hi)) {
+    return Cursor{memtable_.end(), memtable_.end(), {}, false};
+  }
+  const auto below = [](const SsTable::Entry& e, std::string_view k) {
+    return e.key < k;
+  };
+  std::vector<Cursor::Span> runs;
+  for_each_run_newest_first([&](const SsTable& run) {
+    const auto& e = run.entries();
+    const auto* at =
+        std::to_address(std::lower_bound(e.begin(), e.end(), lo, below));
+    const auto* end =
+        hi.empty() ? e.data() + e.size()
+                   : std::to_address(
+                         std::lower_bound(e.begin(), e.end(), hi, below));
+    if (at != end) runs.push_back(Cursor::Span{at, end});
+    return true;
+  });
+  return Cursor{memtable_.lower_bound(lo),
+                hi.empty() ? memtable_.end() : memtable_.lower_bound(hi),
+                std::move(runs), false};
+}
+
+LsmStore::Cursor::Cursor(MemIter mem, MemIter mem_end, std::vector<Span> runs,
+                         bool keep_tombstones)
+    : mem_{mem},
+      mem_end_{mem_end},
+      runs_{std::move(runs)},
+      keep_tombstones_{keep_tombstones} {
+  next();
+}
+
+const std::string* LsmStore::Cursor::head(std::size_t s) const noexcept {
+  if (s == 0) return mem_ == mem_end_ ? nullptr : &mem_->first;
+  const Span& run = runs_[s - 1];
+  return run.at == run.end ? nullptr : &run.at->key;
+}
+
+void LsmStore::Cursor::take(std::size_t s) noexcept {
+  if (s == 0) {
+    key_ = mem_->first;
+    value_ = mem_->second.value;
+    tombstone_ = mem_->second.tombstone;
+    ++mem_;
+  } else {
+    const SsTable::Entry& e = *runs_[s - 1].at++;
+    key_ = e.key;
+    value_ = e.value;
+    tombstone_ = e.tombstone;
+  }
+}
+
+void LsmStore::Cursor::skip(std::size_t s) noexcept {
+  if (s == 0) {
+    ++mem_;
+  } else {
+    ++runs_[s - 1].at;
+  }
+}
+
+void LsmStore::Cursor::pick() {
+  // Sources are numbered newest first and only a strictly smaller key
+  // displaces the pick, so a tie resolves to the newest version.
+  const std::size_t sources = runs_.size() + 1;
+  const std::string* least = nullptr;
+  for (std::size_t s = 0; s < sources; ++s) {
+    const std::string* h = head(s);
+    if (h != nullptr && (least == nullptr || *h < *least)) {
+      least = h;
+      lead_ = s;
     }
   }
-  for (const auto& [key, entry] : memtable_) {
-    if (key < lo || (!hi.empty() && !(key < hi))) continue;
-    merged[key] = entry;
+  valid_ = least != nullptr;
+  if (!valid_) return;
+  take(lead_);
+  // The key's older versions are shadowed; what the other sources hold
+  // next bounds the lead's fast path.
+  bound_ = nullptr;
+  for (std::size_t s = 0; s < sources; ++s) {
+    if (s == lead_) continue;
+    const std::string* h = head(s);
+    if (h != nullptr && *h == key_) {
+      skip(s);
+      h = head(s);
+    }
+    if (h != nullptr && (bound_ == nullptr || *h < *bound_)) bound_ = h;
   }
+}
+
+bool LsmStore::Cursor::step_lead() noexcept {
+  const std::string* h = head(lead_);
+  if (h == nullptr || (bound_ != nullptr && !(*h < *bound_))) return false;
+  take(lead_);
+  return true;
+}
+
+void LsmStore::Cursor::next() {
+  do {
+    if (!valid_ || !step_lead()) pick();
+  } while (valid_ && tombstone_ && !keep_tombstones_);
+}
+
+std::vector<std::pair<std::string, std::string>> LsmStore::scan(
+    std::string_view lo, std::string_view hi) const {
   std::vector<std::pair<std::string, std::string>> out;
-  for (auto& [key, entry] : merged) {
-    if (!entry.tombstone) out.emplace_back(key, std::move(entry.value));
+  for (Cursor c = cursor(lo, hi); c.valid(); c.next()) {
+    out.emplace_back(c.key(), c.value());
   }
   return out;
 }
 
-std::size_t LsmStore::size() const { return scan("", "").size(); }
+std::size_t LsmStore::size() const {
+  std::size_t n = 0;
+  for (Cursor c = cursor("", ""); c.valid(); c.next()) ++n;
+  return n;
+}
 
 void LsmStore::flush() {
   if (memtable_.empty()) return;
@@ -429,12 +523,24 @@ void LsmStore::compact(std::size_t level) {
        obs::trace_arg("runs",
                       static_cast<std::uint64_t>(levels_[level].size()))}};
 
-  // k-way merge of the level's runs, newest run winning per key.
-  std::map<std::string, SsTable::Entry> merged;
-  for (const auto& run : levels_[level]) {  // oldest..newest
-    for (const auto& e : run.entries()) {
-      merged[e.key] = e;
-    }
+  // Merge the level's runs through the cursor, newest run winning per key.
+  // Tombstones must keep shadowing older levels, except at the last level,
+  // where nothing older can exist.
+  std::vector<Cursor::Span> runs;
+  std::size_t input_entries = 0;
+  const auto& inputs = levels_[level];
+  for (auto run = inputs.rbegin(); run != inputs.rend(); ++run) {
+    const auto& e = run->entries();
+    runs.push_back(Cursor::Span{e.data(), e.data() + e.size()});
+    input_entries += e.size();
+  }
+  std::vector<SsTable::Entry> entries;
+  entries.reserve(input_entries);
+  for (Cursor c{memtable_.end(), memtable_.end(), std::move(runs),
+                !last_level};
+       c.valid(); c.next()) {
+    entries.push_back(SsTable::Entry{std::string{c.key()},
+                                     std::string{c.value()}, c.tombstone()});
   }
   std::vector<std::string> retired_files;
   if (durable_) {
@@ -442,13 +548,6 @@ void LsmStore::compact(std::size_t level) {
     durable_->level_files[level].clear();
   }
   levels_[level].clear();
-  std::vector<SsTable::Entry> entries;
-  entries.reserve(merged.size());
-  for (auto& [key, e] : merged) {
-    // Tombstones can be dropped once nothing older can exist.
-    if (e.tombstone && last_level) continue;
-    entries.push_back(std::move(e));
-  }
   ++stats_.compactions;
   if (obs::enabled()) StorageMetrics::get().compactions->add();
   if (!entries.empty()) {

@@ -23,6 +23,10 @@
 //    ScrubReport) rather than silently dropping data. The crash-point
 //    fuzzer (storage/crashfuzz.hpp) enumerates every write boundary and
 //    mid-record tear to prove it.
+//
+// Reads that span keys go through one newest-wins k-way merge, the Cursor:
+// cursor(lo, hi) streams live pairs as views into the store, and scan(),
+// size() and compaction are built on the same merge.
 
 #include <cstdint>
 #include <map>
@@ -30,6 +34,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/context.hpp"
@@ -188,8 +193,15 @@ class LsmStore {
                                  const obs::TraceContext& ctx,
                                  std::int64_t ts_ps) const;
 
-  /// All live (key, value) pairs with lo <= key < hi, in key order
-  /// (hi empty = unbounded).
+  class Cursor;
+
+  /// Streams the live (key, value) pairs with lo <= key < hi in key order
+  /// (hi empty = unbounded), without copying them. The cursor borrows the
+  /// store: any put, erase or flush invalidates it and the views it hands
+  /// out.
+  Cursor cursor(std::string_view lo, std::string_view hi) const;
+
+  /// cursor(lo, hi) copied out, for callers that outlive the borrow.
   std::vector<std::pair<std::string, std::string>> scan(
       std::string_view lo, std::string_view hi) const;
 
@@ -229,6 +241,7 @@ class LsmStore {
     std::string value;
     bool tombstone = false;
   };
+  using Memtable = std::map<std::string, MemEntry, std::less<>>;
   struct Durable;  // WAL + manifest wiring (storage/lsm.cpp)
 
   void maybe_flush();
@@ -239,13 +252,67 @@ class LsmStore {
   void for_each_run_newest_first(Fn fn) const;
 
   LsmOptions options_;
-  std::map<std::string, MemEntry, std::less<>> memtable_;
+  Memtable memtable_;
   std::size_t memtable_bytes_ = 0;
   /// levels_[0] is the newest level; within a level, later runs are newer.
   std::vector<std::vector<SsTable>> levels_;
   mutable LsmStats stats_;
   std::unique_ptr<Durable> durable_;
   RecoveryInfo recovery_;
+};
+
+/// Newest-wins k-way merge over the memtable and the runs, positioned by
+/// binary search. Each source is a sorted key range; when several hold a
+/// key, the newest one's version wins and the older ones are skipped. A
+/// winning tombstone hides the key. Keys and values are views into the
+/// store, valid until the store is next written (see LsmStore::cursor).
+class LsmStore::Cursor {
+ public:
+  /// False once the range is exhausted; key() and value() need true.
+  bool valid() const noexcept { return valid_; }
+  std::string_view key() const noexcept { return key_; }
+  std::string_view value() const noexcept { return value_; }
+  void next();
+
+ private:
+  friend class LsmStore;
+  using MemIter = Memtable::const_iterator;
+  struct Span {
+    const SsTable::Entry* at;
+    const SsTable::Entry* end;
+  };
+
+  /// `runs` are ordered newest first, all of them older than the memtable
+  /// range [mem, mem_end). With `keep_tombstones` (compaction) a winning
+  /// tombstone is yielded, flagged by tombstone(), instead of skipped.
+  Cursor(MemIter mem, MemIter mem_end, std::vector<Span> runs,
+         bool keep_tombstones);
+
+  bool tombstone() const noexcept { return tombstone_; }
+
+  /// Source s is the memtable for s == 0, else runs_[s - 1]. head() is its
+  /// next key, or nullptr once it is exhausted; take() makes that entry
+  /// the current one and steps past it; skip() only steps.
+  const std::string* head(std::size_t s) const noexcept;
+  void take(std::size_t s) noexcept;
+  void skip(std::size_t s) noexcept;
+  /// Full merge step: the smallest head of all sources, the newest holder
+  /// winning a tie, becomes current; every other holder is skipped.
+  void pick();
+  /// Fast merge step: while the winner's next key is below every other
+  /// source's head, it is the smallest key left and nobody else holds it.
+  bool step_lead() noexcept;
+
+  MemIter mem_;
+  MemIter mem_end_;
+  std::vector<Span> runs_;
+  bool keep_tombstones_;
+  bool valid_ = false;
+  bool tombstone_ = false;
+  std::size_t lead_ = 0;  // the source the current key came from
+  const std::string* bound_ = nullptr;  // smallest head outside the lead
+  std::string_view key_;
+  std::string_view value_;
 };
 
 }  // namespace rb::storage

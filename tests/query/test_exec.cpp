@@ -319,28 +319,61 @@ TEST(LsmTable, RejectsBadNames) {
   EXPECT_THROW(load_table(store, "missing"), std::invalid_argument);
 }
 
-/// Stores people() and rewrites row 1's record with `edit` applied, using
-/// the documented "t!<table>!r!<rowid %010u>" key layout.
+/// Stores people() and rewrites the record under `key` with `edit`
+/// applied, using the documented "t!<table>!s" (schema) and
+/// "t!<table>!r!<rowid %010u>" (row) key layout.
 template <typename Edit>
-void store_people_with_edited_row(storage::LsmStore& store, Edit edit) {
+void store_people_with_edited_record(storage::LsmStore& store,
+                                     const std::string& key, Edit edit) {
   store_table(store, "people", people());
-  const std::string key = "t!people!r!0000000001";
   auto value = store.get(key);
   ASSERT_TRUE(value.has_value());
   edit(*value);
   store.put(key, *value);
 }
 
+constexpr const char* kPeopleRow1 = "t!people!r!0000000001";
+
 TEST(LsmTable, TruncatedRowThrows) {
   storage::LsmStore store{storage::LsmOptions{}};
-  store_people_with_edited_row(store, [](std::string& v) { v.pop_back(); });
+  store_people_with_edited_record(store, kPeopleRow1,
+                                  [](std::string& v) { v.pop_back(); });
   EXPECT_THROW(load_table(store, "people"), std::runtime_error);
 }
 
 TEST(LsmTable, RowWithTrailingBytesThrows) {
   storage::LsmStore store{storage::LsmOptions{}};
-  store_people_with_edited_row(store, [](std::string& v) { v.push_back('x'); });
+  store_people_with_edited_record(store, kPeopleRow1,
+                                  [](std::string& v) { v.push_back('x'); });
   EXPECT_THROW(load_table(store, "people"), std::runtime_error);
+}
+
+TEST(LsmTable, UnknownSchemaTagThrows) {
+  storage::LsmStore store{storage::LsmOptions{}};
+  // The record opens with the u32 column count; the first column's tag
+  // byte follows ("name" is a string column, tag 's').
+  store_people_with_edited_record(store, "t!people!s", [](std::string& v) {
+    ASSERT_EQ(v.at(4), 's');
+    v[4] = 'x';
+  });
+  EXPECT_THROW(load_table(store, "people"), std::runtime_error);
+}
+
+TEST(LsmTable, StoringAgainReplacesTheTable) {
+  storage::LsmOptions opts;
+  opts.memtable_bytes = 128;  // the first table's rows reach the runs
+  storage::LsmStore store{opts};
+  Table five;
+  five.add_int_column("v", {1, 2, 3, 4, 5});
+  store_table(store, "t", five);
+  Table two;
+  two.add_int_column("v", {10, 20});
+  store_table(store, "t", two);
+  expect_tables_equal(load_table(store, "t"), two);
+  // A new schema drops rows that would not decode under it.
+  store_table(store, "t", five);
+  store_table(store, "t", people());
+  expect_tables_equal(load_table(store, "t"), people());
 }
 
 TEST(LsmTable, ScanIsByteIdenticalToInMemoryPlan) {
@@ -362,6 +395,38 @@ TEST(LsmTable, ScanIsByteIdenticalToInMemoryPlan) {
   expect_tables_equal(lsm_plan.run({}, &stats), expected);
   EXPECT_EQ(stats.source, "lsm_scan");
   EXPECT_EQ(stats.source_rows, 4u);
+}
+
+TEST(LsmTable, PlansReadOnlyTheirOwnTable) {
+  storage::LsmOptions opts;
+  opts.memtable_bytes = 256;  // flushes and compactions between the stores
+  storage::LsmStore store{opts};
+  Table other;
+  other.add_string_column("name", {"eve", "fay", "gus"});
+  other.add_int_column("age", {41, 19, 25});
+  other.add_int_column("team", {3, 3, 2});
+  // "src2" shares "src"'s name as a prefix, so its keys sort right after.
+  store_table(store, "src", people());
+  store_table(store, "src2", people());
+  store.flush();
+  // The newest "src" rows overwrite the flushed ones from the memtable, and
+  // its fourth row, next to "src2"'s first, is erased.
+  store_table(store, "src", other);
+  const auto report = [](PlanBuilder b) {
+    return b.filter_int("age", [](std::int64_t a) { return a > 20; })
+        .group_by("team", Aggregate::kSum, "age", "total")
+        .order_by("total", true)
+        .build();
+  };
+  const auto first = [](PlanBuilder b) { return b.limit(2).build(); };
+  for (const auto& [name, table] :
+       {std::pair<std::string, Table>{"src", other}, {"src2", people()}}) {
+    expect_tables_equal(report(PlanBuilder{store, name}).run(),
+                        report(PlanBuilder{table}).run());
+    expect_tables_equal(first(PlanBuilder{store, name}).run(),
+                        first(PlanBuilder{table}).run());
+    expect_tables_equal(load_table(store, name), table);
+  }
 }
 
 TEST(LsmTable, SurvivesFlushToSSTables) {

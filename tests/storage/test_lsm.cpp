@@ -4,6 +4,9 @@
 
 #include <map>
 #include <optional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "sim/random.hpp"
@@ -142,6 +145,24 @@ TEST(Lsm, CompactionBoundsRunsPerLevel) {
   }
 }
 
+TEST(Lsm, LastLevelCompactionDropsTombstones) {
+  LsmOptions options = tiny();
+  options.max_levels = 2;
+  LsmStore store{options};
+  for (const std::string key : {"a", "b"}) {
+    store.put(key, "v");
+    store.flush();
+    store.erase(key);
+    store.flush();  // level 0 merges into a run holding just the tombstone
+  }
+  // The second such run made level 1, the last, merge. Nothing older can
+  // exist there, so both tombstones drop and no run is left.
+  ASSERT_EQ(store.level_count(), 2u);
+  EXPECT_EQ(store.runs_in_level(0), 0u);
+  EXPECT_EQ(store.runs_in_level(1), 0u);
+  EXPECT_EQ(store.size(), 0u);
+}
+
 TEST(Lsm, BloomFiltersSkipProbesOnMisses) {
   LsmStore store{tiny()};
   for (int i = 0; i < 300; ++i) {
@@ -179,12 +200,27 @@ TEST(Lsm, BloomCountersExportThroughObs) {
   registry.reset_for_test();
 }
 
+/// The model's answer to scan(lo, hi).
+std::vector<std::pair<std::string, std::string>> model_scan(
+    const std::map<std::string, std::string>& model, const std::string& lo,
+    const std::string& hi) {
+  std::vector<std::pair<std::string, std::string>> out;
+  for (auto it = model.lower_bound(lo);
+       it != model.end() && (hi.empty() || it->first < hi); ++it) {
+    out.emplace_back(*it);
+  }
+  return out;
+}
+
 TEST(Lsm, MatchesStdMapUnderRandomWorkload) {
   sim::Rng rng{2016};
   LsmStore store{tiny()};
   std::map<std::string, std::string> reference;
+  const auto random_key = [&rng] {
+    return "k" + std::to_string(rng.uniform_index(200));
+  };
   for (int op = 0; op < 5000; ++op) {
-    const std::string key = "k" + std::to_string(rng.uniform_index(200));
+    const std::string key = random_key();
     const double dice = rng.uniform();
     if (dice < 0.55) {
       const std::string value = "v" + std::to_string(rng());
@@ -203,16 +239,19 @@ TEST(Lsm, MatchesStdMapUnderRandomWorkload) {
         EXPECT_EQ(*got, expected->second) << key << " at op " << op;
       }
     }
+    if (op % 250 == 249) {
+      // A random range (inverted, empty or unbounded ones included) through
+      // the merge of memtable and every level.
+      const std::string lo = rng.chance(0.1) ? "" : random_key();
+      const std::string hi = rng.chance(0.1) ? "" : random_key();
+      EXPECT_EQ(store.scan(lo, hi), model_scan(reference, lo, hi))
+          << "[" << lo << ", " << hi << ") at op " << op;
+      EXPECT_EQ(store.size(), reference.size()) << "at op " << op;
+    }
   }
-  // Final full comparison through scan().
-  const auto all = store.scan("", "");
-  ASSERT_EQ(all.size(), reference.size());
-  auto it = reference.begin();
-  for (const auto& [key, value] : all) {
-    EXPECT_EQ(key, it->first);
-    EXPECT_EQ(value, it->second);
-    ++it;
-  }
+  // Compactions cascaded down to the last level, where tombstones drop.
+  EXPECT_EQ(store.level_count(), tiny().max_levels);
+  EXPECT_EQ(store.scan("", ""), model_scan(reference, "", ""));
 }
 
 TEST(Lsm, SizeCountsLiveKeysOnly) {
