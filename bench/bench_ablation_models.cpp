@@ -8,8 +8,6 @@
 //       never amortize; the sweep locates the break-even batch size per
 //       device (the practical side of Rec 10's "partially hardware-
 //       accelerated implementations").
-//  (The radix-join partitioning ablation lives in bench_micro_blocks, where
-//  it runs on real hardware.)
 
 #include <cstdio>
 

@@ -42,36 +42,12 @@ constexpr bool kSanitized = false;
 using rb::query::Aggregate;
 using rb::query::Query;
 using rb::query::Table;
-
-struct Tables {
-  Table orders;     // order_id, customer
-  Table lineitems;  // order_id, amount
-};
-
-Tables make_tables(std::size_t n_orders, std::uint64_t seed) {
-  const auto rel = rb::workloads::order_tables(n_orders, 4.0, 0.8, seed);
-  Tables t;
-  std::vector<std::int64_t> oid, cust;
-  for (const auto& r : rel.orders) {
-    oid.push_back(static_cast<std::int64_t>(r.key));
-    cust.push_back(static_cast<std::int64_t>(r.payload));
-  }
-  t.orders.add_int_column("order_id", std::move(oid));
-  t.orders.add_int_column("customer", std::move(cust));
-  std::vector<std::int64_t> lid, amount;
-  for (const auto& r : rel.lineitems) {
-    lid.push_back(static_cast<std::int64_t>(r.key));
-    amount.push_back(static_cast<std::int64_t>(r.payload));
-  }
-  t.lineitems.add_int_column("order_id", std::move(lid));
-  t.lineitems.add_int_column("amount", std::move(amount));
-  return t;
-}
+using rb::workloads::QueryTables;
 
 /// The benchmark query: revenue by customer over large-ticket lineitems,
 /// top 10. `items_probe` picks the join order (lineitems probing an orders
 /// build, or the reverse).
-Query make_query(const Tables& t, bool items_probe) {
+Query make_query(const QueryTables& t, bool items_probe) {
   Query q = items_probe ? Query(t.lineitems) : Query(t.orders);
   q.join(items_probe ? t.orders : t.lineitems, "order_id", "order_id")
       // Range form so the vectorized engine takes the SIMD selection path;
@@ -82,20 +58,6 @@ Query make_query(const Tables& t, bool items_probe) {
       .order_by("revenue", true)
       .limit(10);
   return q;
-}
-
-bool tables_equal(const Table& a, const Table& b) {
-  if (a.row_count() != b.row_count()) return false;
-  if (a.column_names() != b.column_names()) return false;
-  for (const auto& col : a.column_names()) {
-    if (a.column_type(col) != b.column_type(col)) return false;
-    if (a.column_type(col) == rb::query::ColumnType::kInt) {
-      if (a.ints(col) != b.ints(col)) return false;
-    } else {
-      if (a.strings(col) != b.strings(col)) return false;
-    }
-  }
-  return true;
 }
 
 }  // namespace
@@ -127,7 +89,8 @@ int main(int argc, char** argv) {
   double gate_speedup = 0.0;  // largest scale, items-probe, batch 1024
 
   for (const std::size_t n_orders : scales) {
-    const auto tables = make_tables(n_orders, /*seed=*/42 + n_orders);
+    const auto tables = rb::workloads::order_query_tables(
+        n_orders, 4.0, 0.8, /*seed=*/42 + n_orders);
     for (const bool items_probe : {true, false}) {
       const Query query = make_query(tables, items_probe);
       const Table reference = query.run();
@@ -139,7 +102,7 @@ int main(int argc, char** argv) {
         const auto plan = rb::query::exec::compile(query);
         rb::query::exec::ExecOptions opts;
         opts.batch_size = batch;
-        const bool identical = tables_equal(plan.run(opts), reference);
+        const bool identical = plan.run(opts) == reference;
         all_identical = all_identical && identical;
         const double vec_ms = rb::bench::best_ms(reps, [&plan, &opts] {
           const Table t = plan.run(opts);
@@ -167,7 +130,8 @@ int main(int argc, char** argv) {
   // LSM-backed scan: same chain over the storage substrate.
   bool lsm_identical = true;
   {
-    const auto tables = make_tables(scales.front(), /*seed=*/7);
+    const auto tables = rb::workloads::order_query_tables(
+        scales.front(), 4.0, 0.8, /*seed=*/7);
     rb::storage::LsmOptions lsm_opts;
     lsm_opts.memtable_bytes = 1 << 16;  // forces SSTable flushes
     rb::storage::LsmStore store{lsm_opts};
@@ -182,7 +146,7 @@ int main(int argc, char** argv) {
             .limit(10)
             .build();
     const Table reference = make_query(tables, /*items_probe=*/true).run();
-    lsm_identical = tables_equal(plan.run(), reference);
+    lsm_identical = plan.run() == reference;
     const double lsm_ms =
         rb::bench::best_ms(reps, [&plan] { (void)plan.run(); });
     std::printf("  lsm-backed scan (%zu orders): %.2f ms, identical: %s\n",

@@ -5,8 +5,9 @@
 // cache-resident inputs. Section 2 reports the headline tuned-vs-scalar
 // gaps through simd_measure.hpp — the same numbers E2/E8 consume.
 // Section 3 (full mode only) times the remaining blocks backing E2/E10:
-// radix hash join (partitioning ablation), radix sort, group aggregation,
-// blocked GEMM, Aho-Corasick matching, tokenization.
+// the query engine's hash join and group aggregation (each one plan that
+// builds, probes and materializes), radix sort, blocked GEMM, Aho-Corasick
+// matching, tokenization.
 //
 // In --quick mode the bench gates on the SIMD layer earning its keep:
 // selection scan >= 4x and join probe >= 3x over scalar, exiting 1 on a
@@ -19,14 +20,12 @@
 #include <cstring>
 #include <vector>
 
-#include "accel/aggregate.hpp"
 #include "accel/gemm.hpp"
-#include "accel/hash_join.hpp"
-#include "accel/scan.hpp"
 #include "accel/simd/simd.hpp"
 #include "accel/sort.hpp"
 #include "accel/text.hpp"
 #include "bench_util.hpp"
+#include "query/exec/plan.hpp"
 #include "sim/random.hpp"
 #include "simd_measure.hpp"
 #include "workloads/generators.hpp"
@@ -125,19 +124,16 @@ void bench_blocks(bench::Report& report) {
   };
 
   {
-    const auto tables = workloads::order_tables(1 << 17, 4.0, 0.6, 2);
-    for (const int bits : {0, 6}) {
-      accel::JoinParams params;
-      params.radix_bits = bits;
-      volatile std::uint64_t sink = 0;
-      const double ms = best_ms(3, [&] {
-        sink = accel::hash_join_count(tables.orders, tables.lineitems,
-                                      params);
-      });
-      (void)sink;
-      record(bits == 0 ? "hash_join(radix=0)" : "hash_join(radix=6)", ms,
-             static_cast<double>(tables.lineitems.size()) / ms);
-    }
+    auto tables = workloads::order_query_tables(1 << 17, 4.0, 0.6, 2);
+    const auto probe_rows = static_cast<double>(tables.lineitems.row_count());
+    const auto plan =
+        query::exec::PlanBuilder{std::move(tables.lineitems)}
+            .join(std::move(tables.orders), "order_id", "order_id")
+            .build();
+    volatile std::size_t sink = 0;
+    const double ms = best_ms(3, [&] { sink = plan.run().row_count(); });
+    (void)sink;
+    record("hash_join", ms, probe_rows / ms);
   }
   {
     sim::Rng rng{3};
@@ -151,16 +147,23 @@ void bench_blocks(bench::Report& report) {
   }
   {
     sim::Rng rng{5};
-    std::vector<accel::Row> rows(1 << 20);
-    for (auto& r : rows) {
-      r = accel::Row{rng.uniform_index(1000), rng.uniform_index(100)};
+    const std::size_t rows = 1 << 20;
+    std::vector<std::int64_t> keys(rows), values(rows);
+    for (std::size_t i = 0; i < rows; ++i) {
+      keys[i] = static_cast<std::int64_t>(rng.uniform_index(1000));
+      values[i] = static_cast<std::int64_t>(rng.uniform_index(100));
     }
+    query::Table table;
+    table.add_int_column("key", std::move(keys));
+    table.add_int_column("value", std::move(values));
+    const auto plan =
+        query::exec::PlanBuilder{std::move(table)}
+            .group_by("key", query::Aggregate::kSum, "value", "sum")
+            .build();
     volatile std::size_t sink = 0;
-    const double ms = best_ms(3, [&] {
-      sink = accel::group_aggregate(rows, accel::AggOp::kSum).size();
-    });
+    const double ms = best_ms(3, [&] { sink = plan.run().row_count(); });
     (void)sink;
-    record("group_aggregate(1M)", ms, static_cast<double>(rows.size()) / ms);
+    record("group_aggregate(1M)", ms, static_cast<double>(rows) / ms);
   }
   {
     const std::size_t n = 128;

@@ -1,12 +1,12 @@
 // SQL-era analytics on the framework-era substrate (paper Sec IV.C.1).
 //
-// The query layer compiles a classic revenue report — join orders to line
-// items, filter, aggregate, rank — onto the library's accelerated building
-// blocks (radix hash join, hash group-aggregate). The same fluent chain
-// then runs a second time through the vectorized push-based engine
-// (query/exec), which streams column batches through an operator pipeline
-// instead of materializing a table per stage; the two answers must be
-// byte-identical. Finally the report is recomputed through the raw
+// The query layer states a classic revenue report — join orders to line
+// items, filter, aggregate, rank — as one fluent chain. The reference
+// interpreter runs it a table per stage; the same chain then runs through
+// the vectorized push-based engine (query/exec), which streams column
+// batches through an operator pipeline built on the accelerated building
+// blocks (SIMD hash probe, selection scan, top-k sift); the two answers
+// must be byte-identical. Finally the report is recomputed through the raw
 // dataflow API to show the two abstraction levels the paper contrasts
 // produce identical answers.
 
@@ -22,33 +22,15 @@ int main() {
   using namespace rb;
 
   // Synthetic financial-sector tables (Zipf-skewed foreign keys).
-  const auto tables = workloads::order_tables(50'000, 4.0, 0.9, 7);
-
-  // --- Columnar form for the query layer ---
-  std::vector<std::int64_t> order_ids, customers;
-  for (const auto& o : tables.orders) {
-    order_ids.push_back(static_cast<std::int64_t>(o.key));
-    customers.push_back(static_cast<std::int64_t>(o.payload));
-  }
-  std::vector<std::int64_t> item_orders, amounts;
-  for (const auto& l : tables.lineitems) {
-    item_orders.push_back(static_cast<std::int64_t>(l.key));
-    amounts.push_back(static_cast<std::int64_t>(l.payload));
-  }
-  query::Table orders;
-  orders.add_int_column("order_id", std::move(order_ids));
-  orders.add_int_column("customer", std::move(customers));
-  query::Table items;
-  items.add_int_column("order_id", std::move(item_orders));
-  items.add_int_column("amount", std::move(amounts));
+  const auto tables = workloads::order_query_tables(50'000, 4.0, 0.9, 7);
 
   // SELECT customer, SUM(amount) AS revenue
   // FROM orders JOIN items USING (order_id)
   // WHERE amount >= 5000
   // GROUP BY customer ORDER BY revenue DESC LIMIT 10;
   const auto query =
-      query::Query(std::move(orders))
-          .join(std::move(items), "order_id", "order_id")
+      query::Query(tables.orders)
+          .join(tables.lineitems, "order_id", "order_id")
           .where_int("amount", [](std::int64_t a) { return a >= 5000; })
           .group_by("customer", query::Aggregate::kSum, "amount", "revenue")
           .order_by("revenue", true)
@@ -65,13 +47,7 @@ int main() {
   std::printf("\n\ntop customers by revenue (vectorized pipeline):\n%s\n",
               vectorized.to_string().c_str());
 
-  bool identical = report.row_count() == vectorized.row_count() &&
-                   report.column_names() == vectorized.column_names();
-  if (identical) {
-    for (const auto& col : report.column_names()) {
-      identical = identical && report.ints(col) == vectorized.ints(col);
-    }
-  }
+  const bool identical = report == vectorized;
   std::printf("pipeline result identical to interpreter: %s\n\n",
               identical ? "yes" : "NO");
   if (!identical) return EXIT_FAILURE;
@@ -79,15 +55,15 @@ int main() {
   // --- The same report through the raw dataflow API ---
   dataflow::Context ctx;
   std::vector<std::pair<std::int64_t, std::int64_t>> order_pairs, item_pairs;
-  for (const auto& o : tables.orders) {
-    order_pairs.emplace_back(static_cast<std::int64_t>(o.key),
-                             static_cast<std::int64_t>(o.payload));
+  const auto& order_ids = tables.orders.ints("order_id");
+  const auto& customers = tables.orders.ints("customer");
+  for (std::size_t i = 0; i < order_ids.size(); ++i) {
+    order_pairs.emplace_back(order_ids[i], customers[i]);
   }
-  for (const auto& l : tables.lineitems) {
-    if (l.payload >= 5000) {
-      item_pairs.emplace_back(static_cast<std::int64_t>(l.key),
-                              static_cast<std::int64_t>(l.payload));
-    }
+  const auto& item_orders = tables.lineitems.ints("order_id");
+  const auto& amounts = tables.lineitems.ints("amount");
+  for (std::size_t i = 0; i < item_orders.size(); ++i) {
+    if (amounts[i] >= 5000) item_pairs.emplace_back(item_orders[i], amounts[i]);
   }
   auto ods = dataflow::Dataset<std::pair<std::int64_t, std::int64_t>>::
       from_vector(ctx, order_pairs);

@@ -3,8 +3,7 @@
 // the paper's deep-learning discussion rides on (Sec I: GPU-accelerated
 // training, ASIC-accelerated inference). Two CPU implementations expose the
 // cache-blocking ablation: the naive triple loop thrashes once B outgrows
-// the cache; the tiled version holds a block of B resident (the same
-// hardware-consciousness the radix join applies to hash tables).
+// the cache; the tiled version holds a block of B resident.
 
 #include <cstddef>
 #include <span>

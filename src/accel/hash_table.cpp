@@ -11,12 +11,12 @@ HashTable64::HashTable64(std::size_t expected) {
 }
 
 const std::uint64_t* HashTable64::find(std::uint64_t key) const noexcept {
-  const std::uint64_t k = encode(key);
-  std::size_t i = probe_start(k);
+  if (key == kEmpty) return has_zero_ ? &zero_value_ : nullptr;
+  std::size_t i = probe_start(key);
   for (;;) {
     const auto& slot = slots_[i];
     if (slot.key == kEmpty) return nullptr;
-    if (slot.key == k) return &slot.value;
+    if (slot.key == key) return &slot.value;
     i = (i + 1) & mask_;
   }
 }
@@ -27,6 +27,13 @@ void HashTable64::find_batch(const std::uint64_t* keys, std::size_t n,
   simd::kernels().hash_find_batch(
       reinterpret_cast<const std::uint64_t*>(slots_.data()), mask_, keys, n,
       values, found);
+  if (!has_zero_) return;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (keys[i] == kEmpty) {
+      values[i] = zero_value_;
+      found[i] = 1;
+    }
+  }
 }
 
 void HashTable64::grow() {
@@ -37,7 +44,6 @@ void HashTable64::grow() {
   size_ = 0;
   for (const auto& slot : old) {
     if (slot.key == kEmpty) continue;
-    // Re-insert raw (already encoded) keys.
     std::size_t i = probe_start(slot.key);
     while (slots_[i].key != kEmpty) i = (i + 1) & mask_;
     slots_[i] = slot;

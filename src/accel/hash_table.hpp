@@ -1,10 +1,11 @@
 #pragma once
-// Open-addressing hash table specialized for 64-bit keys — the shared
-// engine under the hash-join and group-aggregate building blocks.
+// Open-addressing hash table specialized for 64-bit keys — the table under
+// the query engine's HashJoin and GroupAggregate operators.
 //
-// Linear probing with a power-of-two capacity and multiplicative hashing;
-// key 0 is reserved as the empty slot marker, so the table transparently
-// remaps user key 0 to a sentinel.
+// Linear probing with a power-of-two capacity and multiplicative hashing.
+// Key 0 marks an empty slot, so a stored key 0 is held out of band: a flag
+// and a value beside the slot array. Every other key, INT64_MIN's bits
+// included, lives in the slots.
 
 #include <cstdint>
 #include <vector>
@@ -22,18 +23,22 @@ class HashTable64 {
   /// Insert key->value, or combine with the existing value via `op(old, v)`.
   template <typename Op>
   void upsert(std::uint64_t key, std::uint64_t value, Op op) {
+    if (key == kEmpty) {
+      zero_value_ = has_zero_ ? op(zero_value_, value) : value;
+      has_zero_ = true;
+      return;
+    }
     if (size_ * 2 >= slots_.size()) grow();
-    const std::uint64_t k = encode(key);
-    std::size_t i = probe_start(k);
+    std::size_t i = probe_start(key);
     for (;;) {
       auto& slot = slots_[i];
       if (slot.key == kEmpty) {
-        slot.key = k;
+        slot.key = key;
         slot.value = value;
         ++size_;
         return;
       }
-      if (slot.key == k) {
+      if (slot.key == key) {
         slot.value = op(slot.value, value);
         return;
       }
@@ -47,19 +52,12 @@ class HashTable64 {
   /// Batched lookup through the dispatched SIMD probe kernel: for each of
   /// the n keys, values[i] = stored value and found[i] = 1 when present,
   /// else values[i] = 0 and found[i] = 0. Bit-identical to calling find()
-  /// per key (same hash, same probe order, same key-0 remap).
+  /// per key (same hash, same probe order); key-0 lanes are patched from
+  /// the out-of-band entry after the kernel.
   void find_batch(const std::uint64_t* keys, std::size_t n,
                   std::uint64_t* values, std::uint8_t* found) const noexcept;
 
-  std::size_t size() const noexcept { return size_; }
-
-  /// Visit every (key, value) pair.
-  template <typename Fn>
-  void for_each(Fn fn) const {
-    for (const auto& slot : slots_) {
-      if (slot.key != kEmpty) fn(decode(slot.key), slot.value);
-    }
-  }
+  std::size_t size() const noexcept { return size_ + (has_zero_ ? 1 : 0); }
 
  private:
   struct Slot {
@@ -71,14 +69,6 @@ class HashTable64 {
   // accel/simd/simd.hpp — keep them in lockstep.
   static_assert(sizeof(Slot) == 2 * sizeof(std::uint64_t));
   static constexpr std::uint64_t kEmpty = simd::kHashEmpty;
-  static constexpr std::uint64_t kZeroSentinel = simd::kHashZeroSentinel;
-
-  static std::uint64_t encode(std::uint64_t key) noexcept {
-    return key == 0 ? kZeroSentinel : key;
-  }
-  static std::uint64_t decode(std::uint64_t stored) noexcept {
-    return stored == kZeroSentinel ? 0 : stored;
-  }
 
   std::size_t probe_start(std::uint64_t k) const noexcept {
     return static_cast<std::size_t>(k * simd::kHashMul) & mask_;
@@ -88,7 +78,9 @@ class HashTable64 {
 
   std::vector<Slot> slots_;
   std::size_t mask_ = 0;
-  std::size_t size_ = 0;
+  std::size_t size_ = 0;  // occupied slots; key 0 is counted by has_zero_
+  bool has_zero_ = false;
+  std::uint64_t zero_value_ = 0;
 };
 
 }  // namespace rb::accel

@@ -196,8 +196,6 @@ void hash_find_batch_avx2(const std::uint64_t* slot_words, std::uint64_t mask,
                           const std::uint64_t* keys, std::size_t n,
                           std::uint64_t* values, std::uint8_t* found) noexcept {
   const __m256i vzero = _mm256_setzero_si256();
-  const __m256i vsent =
-      _mm256_set1_epi64x(static_cast<long long>(kHashZeroSentinel));
   const __m256i vmask = _mm256_set1_epi64x(static_cast<long long>(mask));
   const __m256i vmul = _mm256_set1_epi64x(static_cast<long long>(kHashMul));
   const __m256i vone = _mm256_set1_epi64x(1);
@@ -205,10 +203,8 @@ void hash_find_batch_avx2(const std::uint64_t* slot_words, std::uint64_t mask,
 
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    __m256i k = _mm256_loadu_si256(
+    const __m256i k = _mm256_loadu_si256(
         reinterpret_cast<const __m256i*>(keys + i));
-    // Key-0 sentinel remap, exactly HashTable64::encode.
-    k = _mm256_blendv_epi8(k, vsent, _mm256_cmpeq_epi64(k, vzero));
     __m256i pos = _mm256_and_si256(mul64_lo(k, vmul), vmask);
     __m256i vals = vzero;
     __m256i fnd = vzero;
@@ -217,10 +213,11 @@ void hash_find_batch_avx2(const std::uint64_t* slot_words, std::uint64_t mask,
       const __m256i widx = _mm256_slli_epi64(pos, 1);
       const __m256i slot_keys =
           _mm256_mask_i64gather_epi64(vzero, base, widx, active, 8);
-      const __m256i eq =
-          _mm256_and_si256(_mm256_cmpeq_epi64(slot_keys, k), active);
       const __m256i empty =
           _mm256_and_si256(_mm256_cmpeq_epi64(slot_keys, vzero), active);
+      // An empty slot ends the probe even for key 0, which it "equals".
+      const __m256i eq = _mm256_andnot_si256(
+          empty, _mm256_and_si256(_mm256_cmpeq_epi64(slot_keys, k), active));
       if (_mm256_movemask_epi8(eq) != 0) {
         const __m256i slot_vals = _mm256_mask_i64gather_epi64(
             vzero, base, _mm256_or_si256(widx, vone), eq, 8);

@@ -189,18 +189,13 @@ void hash_find_batch_avx512(const std::uint64_t* slot_words,
                             std::size_t n, std::uint64_t* values,
                             std::uint8_t* found) noexcept {
   const __m512i vzero = _mm512_setzero_si512();
-  const __m512i vsent =
-      _mm512_set1_epi64(static_cast<long long>(kHashZeroSentinel));
   const __m512i vmask = _mm512_set1_epi64(static_cast<long long>(mask));
   const __m512i vmul = _mm512_set1_epi64(static_cast<long long>(kHashMul));
   const __m512i vone = _mm512_set1_epi64(1);
 
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    __m512i k = _mm512_loadu_si512(keys + i);
-    // Key-0 sentinel remap, exactly HashTable64::encode.
-    k = _mm512_mask_mov_epi64(
-        k, _mm512_cmpeq_epi64_mask(k, vzero), vsent);
+    const __m512i k = _mm512_loadu_si512(keys + i);
     __m512i pos =
         _mm512_and_si512(_mm512_mullo_epi64(k, vmul), vmask);
     __m512i vals = vzero;
@@ -210,10 +205,11 @@ void hash_find_batch_avx512(const std::uint64_t* slot_words,
       const __m512i widx = _mm512_slli_epi64(pos, 1);
       const __m512i slot_keys = _mm512_mask_i64gather_epi64(
           vzero, active, widx, slot_words, 8);
-      const __mmask8 eq =
-          _mm512_mask_cmpeq_epi64_mask(active, slot_keys, k);
       const __mmask8 empty =
           _mm512_mask_cmpeq_epi64_mask(active, slot_keys, vzero);
+      // An empty slot ends the probe even for key 0, which it "equals".
+      const __mmask8 eq = _mm512_mask_cmpeq_epi64_mask(
+          static_cast<__mmask8>(active & ~empty), slot_keys, k);
       if (eq != 0) {
         vals = _mm512_mask_i64gather_epi64(
             vals, eq, _mm512_or_si512(widx, vone), slot_words, 8);

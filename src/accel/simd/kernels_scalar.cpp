@@ -67,7 +67,7 @@ void hash_find_batch_scalar(const std::uint64_t* slot_words,
                             std::size_t n, std::uint64_t* values,
                             std::uint8_t* found) noexcept {
   for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t k = keys[i] == 0 ? kHashZeroSentinel : keys[i];
+    const std::uint64_t k = keys[i];
     std::uint64_t pos = (k * kHashMul) & mask;
     for (;;) {
       const std::uint64_t slot_key = slot_words[pos * 2];

@@ -14,9 +14,9 @@
 // every reachable level without respawning.
 //
 // Kernel contracts are bit-exact with the scalar twins: identical outputs
-// for identical inputs on every ISA, including the HashTable64 key-0
-// sentinel remap, wraparound (two's-complement) int64 sums, and ascending
-// selection-index order. The differential tests in
+// for identical inputs on every ISA, including key 0 (never in a slot),
+// wraparound (two's-complement) int64 sums, and ascending selection-index
+// order. The differential tests in
 // tests/accel/test_simd_differential.cpp enforce this.
 
 #include <cstddef>
@@ -29,7 +29,6 @@ namespace rb::accel::simd {
 /// Open-addressing table constants shared with accel::HashTable64 so the
 /// vectorized probe hashes exactly like the scalar one.
 inline constexpr std::uint64_t kHashEmpty = 0;
-inline constexpr std::uint64_t kHashZeroSentinel = 0x8000'0000'0000'0000ULL;
 inline constexpr std::uint64_t kHashMul = 0x9e3779b97f4a7c15ULL;
 
 enum class Isa : std::uint8_t { kScalar = 0, kAvx2 = 1, kAvx512 = 2, kNeon = 3 };
@@ -80,11 +79,11 @@ struct Kernels {
 
   /// Vertical probe of an open-addressing HashTable64 slot array:
   /// `slot_words` is the raw {key, value} pair array ((mask+1)*2 words),
-  /// `mask` the capacity-1 power-of-two mask. For each of the n user keys
-  /// (key 0 is remapped to the sentinel exactly like HashTable64::encode):
+  /// `mask` the capacity-1 power-of-two mask. For each of the n keys:
   /// found[i] = 1 and values[i] = stored value when present, else
-  /// found[i] = 0 and values[i] = 0. Multiplicative hashing + linear
-  /// probing, gather-based on the wide ISAs.
+  /// found[i] = 0 and values[i] = 0. Key 0 marks an empty slot, so it is
+  /// never found here (HashTable64 keeps it out of band). Multiplicative
+  /// hashing + linear probing, gather-based on the wide ISAs.
   void (*hash_find_batch)(const std::uint64_t* slot_words, std::uint64_t mask,
                           const std::uint64_t* keys, std::size_t n,
                           std::uint64_t* values, std::uint8_t* found) noexcept;

@@ -371,8 +371,7 @@ void GroupAggregate::do_push(ColumnBatch& batch) {
 
 void GroupAggregate::do_finish() {
   out_batch_ = std::make_unique<ColumnBatch>(out_schema_, batch_capacity_);
-  // Emit groups sorted by unsigned key code — the order the reference
-  // path's accel::group_aggregate block produces.
+  // Emit groups sorted by unsigned key code (the GroupByStage order).
   std::vector<std::uint32_t> order(accs_.size());
   for (std::uint32_t i = 0; i < order.size(); ++i) order[i] = i;
   std::sort(order.begin(), order.end(),

@@ -242,7 +242,7 @@ class HashJoin : public Operator {
 /// Blocking hash aggregation: SUM / COUNT / MIN / MAX of an int column per
 /// int or string key. Group discovery uses accel::HashTable64 (key code →
 /// dense accumulator slot); finish() emits groups sorted by unsigned key
-/// code, matching the accel::group_aggregate block the reference path uses.
+/// code, the GroupByStage order the reference interpreter also produces.
 class GroupAggregate : public Operator {
  public:
   GroupAggregate(const SchemaPtr& in, std::string key, Aggregate agg,
@@ -255,7 +255,7 @@ class GroupAggregate : public Operator {
 
  private:
   struct Acc {
-    std::uint64_t sum = 0;  // wraparound-safe sum (matches the block)
+    std::uint64_t sum = 0;  // wraparound-safe sum
     std::int64_t extreme = 0;
     std::uint64_t n = 0;
   };

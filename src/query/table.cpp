@@ -1,13 +1,11 @@
 #include "query/table.hpp"
 
 #include <algorithm>
+#include <map>
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_map>
-
-#include "accel/aggregate.hpp"
-#include "accel/hash_join.hpp"
 
 namespace rb::query {
 
@@ -154,33 +152,20 @@ Table apply_filter_string(Table t, const FilterStringStage& s) {
 Table apply_join(Table left, const JoinStage& s) {
   const auto& lkeys = left.ints(s.left_key);
   const auto& rkeys = s.right.ints(s.right_key);
-  // Row indices ride along as payloads through the hash-join block.
-  std::vector<accel::Row> lrows, rrows;
-  lrows.reserve(lkeys.size());
-  for (std::uint32_t i = 0; i < lkeys.size(); ++i) {
-    lrows.push_back(accel::Row{static_cast<std::uint64_t>(lkeys[i]), i});
+  // Right rows per key, in row order; probing left rows in order then
+  // yields the canonical left-major output directly.
+  std::unordered_map<std::int64_t, std::vector<std::uint32_t>> matches;
+  for (std::uint32_t r = 0; r < rkeys.size(); ++r) {
+    matches[rkeys[r]].push_back(r);
   }
-  rrows.reserve(rkeys.size());
-  for (std::uint32_t i = 0; i < rkeys.size(); ++i) {
-    rrows.push_back(accel::Row{static_cast<std::uint64_t>(rkeys[i]), i});
-  }
-  auto joined = accel::hash_join(lrows, rrows);
-  // The radix join emits partition-major; canonicalize to left-major order
-  // (left rows in order, matches in right-row order) so the output is
-  // independent of the physical join strategy — the vectorized engine's
-  // streaming probe produces this order natively.
-  std::sort(joined.begin(), joined.end(),
-            [](const accel::JoinedRow& a, const accel::JoinedRow& b) {
-              return a.left_payload != b.left_payload
-                         ? a.left_payload < b.left_payload
-                         : a.right_payload < b.right_payload;
-            });
   std::vector<std::uint32_t> lidx, ridx;
-  lidx.reserve(joined.size());
-  ridx.reserve(joined.size());
-  for (const auto& j : joined) {
-    lidx.push_back(static_cast<std::uint32_t>(j.left_payload));
-    ridx.push_back(static_cast<std::uint32_t>(j.right_payload));
+  for (std::uint32_t l = 0; l < lkeys.size(); ++l) {
+    const auto it = matches.find(lkeys[l]);
+    if (it == matches.end()) continue;
+    for (const std::uint32_t r : it->second) {
+      lidx.push_back(l);
+      ridx.push_back(r);
+    }
   }
   Table out = left.gather(lidx);
   const Table rgathered = s.right.gather(ridx);
@@ -197,71 +182,62 @@ Table apply_join(Table left, const JoinStage& s) {
 
 Table apply_group_by(Table t, const GroupByStage& s) {
   const auto& values = t.ints(s.value);
-  const auto block_op = [&s] {
+  // Groups in unsigned key-code order: an int key's bits, or a string
+  // key's first-appearance index. Sums wrap around in uint64.
+  std::map<std::uint64_t, std::int64_t> groups;
+  const auto fold = [&s, &groups](std::uint64_t code, std::int64_t v) {
+    const auto [it, fresh] =
+        groups.try_emplace(code, s.agg == Aggregate::kCount ? 1 : v);
+    if (fresh) return;
+    std::int64_t& acc = it->second;
     switch (s.agg) {
-      case Aggregate::kSum: return accel::AggOp::kSum;
-      case Aggregate::kCount: return accel::AggOp::kCount;
-      case Aggregate::kMin: return accel::AggOp::kMin;
-      case Aggregate::kMax: return accel::AggOp::kMax;
+      case Aggregate::kSum:
+        acc = static_cast<std::int64_t>(static_cast<std::uint64_t>(acc) +
+                                        static_cast<std::uint64_t>(v));
+        break;
+      case Aggregate::kCount:
+        ++acc;
+        break;
+      case Aggregate::kMin:
+        acc = std::min(acc, v);
+        break;
+      case Aggregate::kMax:
+        acc = std::max(acc, v);
+        break;
     }
-    return accel::AggOp::kSum;
-  }();
-  // The aggregate block compares unsigned; min/max over signed values
-  // need the order-preserving sign-flip bias. Sum rides on two's-
-  // complement wraparound and count ignores the payload entirely.
-  const bool ordered = s.agg == Aggregate::kMin || s.agg == Aggregate::kMax;
-  constexpr std::uint64_t kBias = 0x8000'0000'0000'0000ULL;
-  const auto encode = [ordered](std::int64_t v) {
-    return static_cast<std::uint64_t>(v) ^ (ordered ? kBias : 0);
-  };
-  const auto decode = [ordered](std::uint64_t v) {
-    return static_cast<std::int64_t>(v ^ (ordered ? kBias : 0));
   };
 
   Table out;
+  std::vector<std::int64_t> results;
   if (t.column_type(s.key) == ColumnType::kInt) {
     const auto& keys = t.ints(s.key);
-    std::vector<accel::Row> rows;
-    rows.reserve(keys.size());
     for (std::size_t i = 0; i < keys.size(); ++i) {
-      rows.push_back(accel::Row{static_cast<std::uint64_t>(keys[i]),
-                                encode(values[i])});
+      fold(static_cast<std::uint64_t>(keys[i]), values[i]);
     }
-    const auto groups = accel::group_aggregate(rows, block_op);
-    std::vector<std::int64_t> out_keys, out_values;
-    for (const auto& g : groups) {
-      out_keys.push_back(static_cast<std::int64_t>(g.key));
-      out_values.push_back(s.agg == Aggregate::kCount
-                               ? static_cast<std::int64_t>(g.value)
-                               : decode(g.value));
+    std::vector<std::int64_t> out_keys;
+    for (const auto& [code, acc] : groups) {
+      out_keys.push_back(static_cast<std::int64_t>(code));
+      results.push_back(acc);
     }
     out.add_int_column(s.key, std::move(out_keys));
-    out.add_int_column(s.result, std::move(out_values));
   } else {
-    // String keys: dictionary-encode, aggregate on codes, decode.
     const auto& keys = t.strings(s.key);
     std::unordered_map<std::string, std::uint64_t> codes;
     std::vector<std::string> dictionary;
-    std::vector<accel::Row> rows;
-    rows.reserve(keys.size());
     for (std::size_t i = 0; i < keys.size(); ++i) {
       const auto [it, inserted] =
           codes.try_emplace(keys[i], dictionary.size());
       if (inserted) dictionary.push_back(keys[i]);
-      rows.push_back(accel::Row{it->second, encode(values[i])});
+      fold(it->second, values[i]);
     }
-    const auto groups = accel::group_aggregate(rows, block_op);
     std::vector<std::string> out_keys;
-    std::vector<std::int64_t> out_values;
-    for (const auto& g : groups) {
-      out_keys.push_back(dictionary.at(static_cast<std::size_t>(g.key)));
-      out_values.push_back(s.agg == Aggregate::kCount
-                               ? static_cast<std::int64_t>(g.value)
-                               : decode(g.value));
+    for (const auto& [code, acc] : groups) {
+      out_keys.push_back(dictionary[code]);
+      results.push_back(acc);
     }
     out.add_string_column(s.key, std::move(out_keys));
-    out.add_int_column(s.result, std::move(out_values));
   }
+  out.add_int_column(s.result, std::move(results));
   return out;
 }
 

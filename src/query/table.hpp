@@ -3,10 +3,11 @@
 //
 // Sec IV.C.1 of the paper traces the shift from query languages (SQL on
 // clean relational data) to distributed frameworks. This module closes the
-// loop the way modern engines do: a small relational algebra whose physical
-// operators are the library's accelerated building blocks (hash join, group
-// aggregation) running on the multithreaded dataflow substrate — the
-// "accelerated building blocks inside a framework" picture of Rec 10.
+// loop the way modern engines do: a small relational algebra compiled onto
+// a vectorized engine (query/exec) whose operators run the library's
+// accelerated building blocks (SIMD selection scan, hash probe, top-k
+// sift) — the "accelerated building blocks inside a framework" picture of
+// Rec 10.
 //
 // Tables are columnar: named, typed (int64 or string) columns of equal
 // length. Queries are built fluently and executed with run():
@@ -20,11 +21,13 @@
 //       .run();
 //
 // run() is the row-at-a-time reference interpreter: every stage fully
-// materializes its output table. The same fluent chain also compiles onto
-// the vectorized push-based engine in query/exec (run_vectorized(), or
-// exec::compile() for explicit plans); both paths produce byte-identical
-// results. Stages are stored as introspectable descriptors (the Stage
-// variant below) so the compiler can walk them.
+// materializes its output table, and join and group-by are plain
+// standard-library code (std::unordered_map, std::map) that shares nothing
+// with the engine, so it stays an independent oracle. The same fluent
+// chain also compiles onto the vectorized push-based engine in query/exec
+// (run_vectorized(), or exec::compile() for explicit plans); both paths
+// produce byte-identical results. Stages are stored as introspectable
+// descriptors (the Stage variant below) so the compiler can walk them.
 
 #include <cstdint>
 #include <functional>
@@ -65,12 +68,16 @@ class Table {
   /// Render the first `max_rows` rows as an aligned ASCII table.
   std::string to_string(std::size_t max_rows = 20) const;
 
+  /// Byte-identical: same columns (names, types, order), same values.
+  bool operator==(const Table&) const = default;
+
  private:
   struct Column {
     std::string name;
     ColumnType type = ColumnType::kInt;
     std::vector<std::int64_t> ints;
     std::vector<std::string> strings;
+    bool operator==(const Column&) const = default;
   };
   const Column& find(const std::string& name) const;
   void check_new_column(const std::string& name, std::size_t size) const;
@@ -112,6 +119,8 @@ struct JoinStage {
   std::string left_key;
   std::string right_key;
 };
+/// Groups come out in unsigned key-code order: an int key's bits, or a
+/// string key's first-appearance index. SUM wraps around in uint64.
 struct GroupByStage {
   std::string key;
   Aggregate agg = Aggregate::kSum;

@@ -95,9 +95,8 @@ RelationalTables order_tables(std::size_t orders, double lineitems_per_order,
   tables.orders.reserve(orders);
   for (std::size_t i = 0; i < orders; ++i) {
     // Order ids start at 1 (0 is a valid but boring key for hash tables).
-    tables.orders.push_back(
-        accel::Row{static_cast<std::uint64_t>(i + 1),
-                   rng.uniform_index(orders / 10 + 1)});
+    tables.orders.push_back(Row{static_cast<std::uint64_t>(i + 1),
+                                rng.uniform_index(orders / 10 + 1)});
   }
   const auto n_items =
       static_cast<std::size_t>(static_cast<double>(orders) *
@@ -106,10 +105,29 @@ RelationalTables order_tables(std::size_t orders, double lineitems_per_order,
   tables.lineitems.reserve(n_items);
   for (std::size_t i = 0; i < n_items; ++i) {
     const std::uint64_t order_id = order_pick(rng) + 1;
-    tables.lineitems.push_back(
-        accel::Row{order_id, 100 + rng.uniform_index(99'900)});
+    tables.lineitems.push_back(Row{order_id, 100 + rng.uniform_index(99'900)});
   }
   return tables;
+}
+
+QueryTables order_query_tables(std::size_t orders,
+                               double lineitems_per_order, double key_skew,
+                               std::uint64_t seed) {
+  const auto rel = order_tables(orders, lineitems_per_order, key_skew, seed);
+  const auto table = [](const std::vector<Row>& rows, const char* payload) {
+    std::vector<std::int64_t> keys, payloads;
+    keys.reserve(rows.size());
+    payloads.reserve(rows.size());
+    for (const auto& r : rows) {
+      keys.push_back(static_cast<std::int64_t>(r.key));
+      payloads.push_back(static_cast<std::int64_t>(r.payload));
+    }
+    query::Table t;
+    t.add_int_column("order_id", std::move(keys));
+    t.add_int_column(payload, std::move(payloads));
+    return t;
+  };
+  return {table(rel.orders, "customer"), table(rel.lineitems, "amount")};
 }
 
 std::vector<Edge> rmat_graph(int scale, std::size_t edges,

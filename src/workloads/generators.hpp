@@ -13,8 +13,8 @@
 #include <string>
 #include <vector>
 
-#include "accel/hash_join.hpp"  // Row
-#include "accel/ml.hpp"         // Matrix
+#include "accel/ml.hpp"  // Matrix
+#include "query/table.hpp"
 #include "sim/random.hpp"
 
 namespace rb::workloads {
@@ -52,16 +52,30 @@ std::vector<SensorReading> sensor_stream(std::size_t count,
 
 /// --- Relational (financial / retail) ---
 
+struct Row {
+  std::uint64_t key = 0;
+  std::uint64_t payload = 0;
+};
+
 /// Build (orders, lineitems) Row tables: orders keyed by order id with
 /// customer payload; lineitems foreign-keyed to a Zipf-skewed subset of
-/// orders (skew exercises the radix join). lineitems.size() ==
+/// orders (skew gives the hash join long match chains). lineitems.size() ==
 /// orders.size() * lineitems_per_order on average.
 struct RelationalTables {
-  std::vector<accel::Row> orders;     // key = order id, payload = customer
-  std::vector<accel::Row> lineitems;  // key = order id, payload = amount
+  std::vector<Row> orders;     // key = order id, payload = customer
+  std::vector<Row> lineitems;  // key = order id, payload = amount
 };
 RelationalTables order_tables(std::size_t orders, double lineitems_per_order,
                               double key_skew, std::uint64_t seed);
+
+/// The same tables as query::Tables for the query layer.
+struct QueryTables {
+  query::Table orders;     // order_id, customer
+  query::Table lineitems;  // order_id, amount
+};
+QueryTables order_query_tables(std::size_t orders,
+                               double lineitems_per_order, double key_skew,
+                               std::uint64_t seed);
 
 /// --- Graphs ---
 

@@ -3,15 +3,13 @@
 #include <chrono>
 #include <stdexcept>
 
-#include "accel/aggregate.hpp"
 #include "accel/compression.hpp"
 #include "accel/graph.hpp"
-#include "accel/hash_join.hpp"
 #include "accel/ml.hpp"
-#include "accel/scan.hpp"
 #include "accel/sort.hpp"
 #include "accel/text.hpp"
 #include "node/energy.hpp"
+#include "query/exec/plan.hpp"
 #include "workloads/generators.hpp"
 
 namespace rb::workloads {
@@ -57,16 +55,21 @@ std::vector<MeasuredResult> run_measured_suite(double scale,
     if (entry.workload == "wordcount") {
       const auto doc = zipf_document(entry.rows, 50'000, 1.05, seed);
       const auto tokens = accel::tokenize(doc);
-      // Count via the aggregate block on hashed tokens.
-      std::vector<accel::Row> rows;
-      rows.reserve(tokens.size());
+      // Count through the engine's group-aggregate on hashed tokens; COUNT
+      // reads no values, so the key column doubles as the value column.
+      std::vector<std::int64_t> words;
+      words.reserve(tokens.size());
       for (const auto& t : tokens) {
-        rows.push_back(
-            accel::Row{std::hash<std::string_view>{}(t) | 1u, 1});
+        words.push_back(
+            static_cast<std::int64_t>(std::hash<std::string_view>{}(t)));
       }
-      const auto counts =
-          accel::group_aggregate(rows, accel::AggOp::kCount);
-      r.checksum = counts.size();
+      query::Table table;
+      table.add_int_column("word", std::move(words));
+      r.checksum = query::exec::PlanBuilder{std::move(table)}
+                       .group_by("word", query::Aggregate::kCount, "word", "n")
+                       .build()
+                       .run()
+                       .row_count();
     } else if (entry.workload == "log-scan") {
       const auto lines = web_log(entry.rows, seed);
       const accel::PatternMatcher matcher{incident_patterns()};
@@ -74,8 +77,12 @@ std::vector<MeasuredResult> run_measured_suite(double scale,
       for (const auto& line : lines) hits += matcher.count_matches(line);
       r.checksum = hits;
     } else if (entry.workload == "join") {
-      const auto tables = order_tables(entry.rows / 4, 4.0, 0.5, seed);
-      r.checksum = accel::hash_join_count(tables.orders, tables.lineitems);
+      auto tables = order_query_tables(entry.rows / 4, 4.0, 0.5, seed);
+      r.checksum = query::exec::PlanBuilder{std::move(tables.lineitems)}
+                       .join(std::move(tables.orders), "order_id", "order_id")
+                       .build()
+                       .run()
+                       .row_count();
     } else if (entry.workload == "sort") {
       sim::Rng rng{seed};
       std::vector<std::uint64_t> keys(entry.rows);

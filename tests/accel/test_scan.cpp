@@ -1,13 +1,34 @@
-#include "accel/scan.hpp"
+// The dispatched selection-scan kernels against a naive branching loop.
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "accel/simd/simd.hpp"
 #include "sim/random.hpp"
 
 namespace rb::accel {
 namespace {
+
+std::vector<std::uint32_t> select_between(
+    const std::vector<std::int64_t>& values, std::int64_t lo,
+    std::int64_t hi) {
+  std::vector<std::uint32_t> out(values.size());
+  out.resize(simd::kernels().select_between(values.data(), values.size(), lo,
+                                            hi, out.data()));
+  return out;
+}
+
+std::size_t count_between(const std::vector<std::int64_t>& values,
+                          std::int64_t lo, std::int64_t hi) {
+  return simd::kernels().count_between(values.data(), values.size(), lo, hi);
+}
+
+std::int64_t sum_selected(const std::vector<std::int64_t>& values,
+                          const std::vector<std::uint32_t>& indices) {
+  return simd::kernels().sum_selected(values.data(), indices.data(),
+                                      indices.size());
+}
 
 /// Naive branching reference.
 std::vector<std::uint32_t> reference_select(

@@ -1,7 +1,7 @@
 // Differential suite for the runtime-dispatched SIMD kernel layer: every
 // kernel in accel/simd is fuzz-compared against its scalar twin across
 // randomized inputs, odd tail lengths (n % lane-width != 0), empty/full
-// selections, int64 boundaries, and the HashTable64 key-0 sentinel — under
+// selections, int64 boundaries, and HashTable64 keys 0 and 2^63 — under
 // every ISA level this CPU/build can reach via set_isa(). The scalar table
 // is the oracle; any divergence is a kernel bug, not a tolerance issue.
 
@@ -218,19 +218,23 @@ TEST(SimdDifferential, HashFindBatchMatchesScalarFind) {
         });
         built.push_back(key);
       }
+      constexpr std::uint64_t kTopBit = 0x8000'0000'0000'0000ULL;
       if (build_n > 0) {
-        // Key 0 exercises the sentinel remap on both insert and probe.
-        table.upsert(0, 999, [](std::uint64_t, std::uint64_t b) { return b; });
-        built.push_back(0);
+        // Key 0 lives out of band; key 2^63 is an ordinary slot key.
+        for (const std::uint64_t key : {std::uint64_t{0}, kTopBit}) {
+          table.upsert(key, 999 + key,
+                       [](std::uint64_t, std::uint64_t b) { return b; });
+          built.push_back(key);
+        }
       }
-      // Probe a mix of present and absent keys, including 0 and the raw
-      // sentinel value itself, at ragged batch sizes.
+      // Probe a mix of present and absent keys, including 0 and 2^63, at
+      // ragged batch sizes.
       std::vector<std::uint64_t> probes = built;
       for (std::size_t i = 0; i < build_n + 17; ++i) {
         probes.push_back(rng() % (build_n * 4 + 7));
       }
       probes.push_back(0);
-      probes.push_back(kHashZeroSentinel);
+      probes.push_back(kTopBit);
       std::vector<std::uint64_t> values(probes.size(), 0xAA);
       std::vector<std::uint8_t> found(probes.size(), 0xBB);
       table.find_batch(probes.data(), probes.size(), values.data(),

@@ -1,16 +1,15 @@
 // End-to-end pipelines across module boundaries: generators -> dataflow
-// framework -> accelerated building blocks, the full "analytics stack" the
-// roadmap's software-support section describes.
+// framework -> accelerated building blocks and the query engine, the full
+// "analytics stack" the roadmap's software-support section describes.
 
 #include <gtest/gtest.h>
 
 #include <map>
 #include <string>
 
-#include "accel/aggregate.hpp"
-#include "accel/hash_join.hpp"
 #include "accel/text.hpp"
 #include "dataflow/dataset.hpp"
+#include "query/exec/plan.hpp"
 #include "workloads/generators.hpp"
 
 namespace rb {
@@ -32,33 +31,37 @@ TEST(Pipelines, WordCountViaDataflowMatchesAggregateBlock) {
   const auto counted = dataflow::reduce_by_key(
       keyed, [](std::uint64_t a, std::uint64_t b) { return a + b; });
 
-  // Path B: the accelerated building block on hashed words.
-  std::vector<accel::Row> rows;
-  rows.reserve(words.size());
-  for (const auto& w : words) {
-    rows.push_back(accel::Row{std::hash<std::string>{}(w) | 1u, 1});
-  }
-  const auto agg = accel::group_aggregate(rows, accel::AggOp::kCount);
+  // Path B: the query engine's group-aggregate.
+  query::Table table;
+  table.add_string_column("word", words);
+  table.add_int_column("one", std::vector<std::int64_t>(words.size(), 1));
+  const auto agg = query::exec::PlanBuilder{std::move(table)}
+                       .group_by("word", query::Aggregate::kCount, "one", "n")
+                       .build()
+                       .run();
 
-  // Same number of distinct words (hash collisions would show up here).
-  EXPECT_EQ(counted.size(), agg.size());
-
-  // And the top word's count agrees.
-  std::uint64_t max_dataflow = 0;
-  for (const auto& [w, c] : counted.collect()) {
-    max_dataflow = std::max(max_dataflow, c);
+  // Every word has the same count on both paths.
+  std::map<std::string, std::uint64_t> dataflow_counts, engine_counts;
+  for (const auto& [w, c] : counted.collect()) dataflow_counts[w] = c;
+  for (std::size_t i = 0; i < agg.row_count(); ++i) {
+    engine_counts[agg.strings("word")[i]] =
+        static_cast<std::uint64_t>(agg.ints("n")[i]);
   }
-  std::uint64_t max_block = 0;
-  for (const auto& g : agg) max_block = std::max(max_block, g.value);
-  EXPECT_EQ(max_dataflow, max_block);
+  EXPECT_GT(engine_counts.size(), 100u);
+  EXPECT_EQ(dataflow_counts, engine_counts);
 }
 
 TEST(Pipelines, RelationalJoinViaDataflowMatchesBlock) {
   const auto tables = workloads::order_tables(2000, 3.0, 0.8, 7);
 
-  // Block path.
-  const auto block_count =
-      accel::hash_join_count(tables.orders, tables.lineitems);
+  // Query-engine path.
+  const auto query_tables = workloads::order_query_tables(2000, 3.0, 0.8, 7);
+  const auto engine_rows =
+      query::exec::PlanBuilder{query_tables.lineitems}
+          .join(query_tables.orders, "order_id", "order_id")
+          .build()
+          .run()
+          .row_count();
 
   // Dataflow path.
   dataflow::Context ctx{4};
@@ -72,7 +75,7 @@ TEST(Pipelines, RelationalJoinViaDataflowMatchesBlock) {
       dataflow::Dataset<std::pair<std::uint64_t, std::uint64_t>>::from_vector(
           ctx, items);
   const auto joined = dataflow::join(ods, ids);
-  EXPECT_EQ(joined.size(), block_count);
+  EXPECT_EQ(joined.size(), engine_rows);
 }
 
 TEST(Pipelines, LogScanThroughDataflow) {

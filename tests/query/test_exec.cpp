@@ -1,8 +1,11 @@
 // Unit tests for the vectorized push-based engine: column batches, the
-// operator chain, the LSM-backed table codec, and the Plan compiler.
+// operator chain, the LSM-backed table codec, the Plan compiler, and the
+// hash join and group-aggregate against small standard-library references.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
 #include <stdexcept>
 #include <string>
 
@@ -12,6 +15,7 @@
 #include "query/exec/operators.hpp"
 #include "query/exec/plan.hpp"
 #include "query/table.hpp"
+#include "sim/random.hpp"
 #include "storage/device.hpp"
 #include "storage/lsm.hpp"
 
@@ -27,16 +31,7 @@ Table people() {
 }
 
 void expect_tables_equal(const Table& a, const Table& b) {
-  ASSERT_EQ(a.row_count(), b.row_count());
-  ASSERT_EQ(a.column_names(), b.column_names());
-  for (const auto& col : a.column_names()) {
-    ASSERT_EQ(a.column_type(col), b.column_type(col)) << col;
-    if (a.column_type(col) == ColumnType::kInt) {
-      EXPECT_EQ(a.ints(col), b.ints(col)) << col;
-    } else {
-      EXPECT_EQ(a.strings(col), b.strings(col)) << col;
-    }
-  }
+  EXPECT_TRUE(a == b) << a.to_string() << "differs from\n" << b.to_string();
 }
 
 TEST(BatchSchema, RejectsDuplicateAndEmptyNames) {
@@ -459,6 +454,176 @@ TEST(LsmTable, SurvivesCrashRecoveryOnDurableStore) {
   device.reopen();
   storage::LsmStore recovered{storage::LsmOptions{}, device};
   expect_tables_equal(load_table(recovered, "people"), people());
+}
+
+/// --- HashJoin and GroupAggregate --------------------------------------
+
+using Ints = std::vector<std::int64_t>;
+
+Table kv_table(Ints keys, Ints values) {
+  Table t;
+  t.add_int_column("k", std::move(keys));
+  t.add_int_column("v", std::move(values));
+  return t;
+}
+
+Table random_kv(sim::Rng& rng, std::size_t rows, std::uint64_t distinct) {
+  Ints keys, values;
+  for (std::size_t i = 0; i < rows; ++i) {
+    keys.push_back(static_cast<std::int64_t>(rng.uniform_index(distinct)));
+    values.push_back(static_cast<std::int64_t>(rng.uniform_index(1000)));
+  }
+  return kv_table(std::move(keys), std::move(values));
+}
+
+/// The engine's result, after checking that the interpreter agrees.
+Table run_both(const Query& q) {
+  Table out = q.run_vectorized();
+  expect_tables_equal(out, q.run());
+  return out;
+}
+
+Table join_kv(const Table& left, const Table& right) {
+  return run_both(Query(left).join(right, "k", "k"));
+}
+
+Table group_kv(const Table& t, Aggregate agg) {
+  return run_both(Query(t).group_by("k", agg, "v", "out"));
+}
+
+TEST(HashJoin, EmptyInputs) {
+  const auto rows = kv_table({1}, {1});
+  const auto empty = kv_table({}, {});
+  EXPECT_EQ(join_kv(empty, rows).row_count(), 0u);
+  EXPECT_EQ(join_kv(rows, empty).row_count(), 0u);
+  EXPECT_EQ(join_kv(empty, empty).row_count(), 0u);
+}
+
+TEST(HashJoin, SimpleMatch) {
+  const auto out =
+      join_kv(kv_table({1, 2}, {10, 20}), kv_table({2, 3}, {200, 300}));
+  EXPECT_EQ(out.ints("k"), Ints{2});
+  EXPECT_EQ(out.ints("v"), Ints{20});
+  EXPECT_EQ(out.ints("v_r"), Ints{200});
+}
+
+TEST(HashJoin, DuplicateKeysProduceCrossProduct) {
+  // Left-major: each left row, then its matches in right-row order.
+  const auto out =
+      join_kv(kv_table({5, 5}, {1, 2}), kv_table({5, 5, 5}, {10, 20, 30}));
+  EXPECT_EQ(out.ints("v"), (Ints{1, 1, 1, 2, 2, 2}));
+  EXPECT_EQ(out.ints("v_r"), (Ints{10, 20, 30, 10, 20, 30}));
+}
+
+TEST(HashJoin, CountMatchesNestedLoopReference) {
+  sim::Rng rng{47};
+  const auto left = random_kv(rng, 800, 100);
+  const auto right = random_kv(rng, 800, 100);
+  std::size_t reference = 0;
+  for (const auto l : left.ints("k")) {
+    for (const auto r : right.ints("k")) reference += l == r ? 1 : 0;
+  }
+  EXPECT_EQ(join_kv(left, right).row_count(), reference);
+}
+
+TEST(HashJoin, MaterializedMatchesCount) {
+  sim::Rng rng{53};
+  const auto left = random_kv(rng, 2000, 300);
+  const auto right = random_kv(rng, 2000, 300);
+  ExecStats stats;
+  const auto out =
+      PlanBuilder(left).join(right, "k", "k").build().run({}, &stats);
+  ASSERT_EQ(stats.operators.front().op, "hash_join");
+  EXPECT_EQ(stats.operators.front().rows_out, out.row_count());
+  EXPECT_EQ(stats.operators.front().build_rows, right.row_count());
+}
+
+TEST(HashJoin, KeyZeroJoins) {
+  // Key 0 matches key 0 only, never INT64_MIN.
+  const auto out = join_kv(kv_table({0, INT64_MIN}, {1, 2}),
+                           kv_table({INT64_MIN, 0, 0}, {10, 20, 30}));
+  EXPECT_EQ(out.ints("v"), (Ints{1, 1, 2}));
+  EXPECT_EQ(out.ints("v_r"), (Ints{20, 30, 10}));
+  EXPECT_EQ(join_kv(kv_table({0}, {1}), kv_table({INT64_MIN}, {2}))
+                .row_count(),
+            0u);
+}
+
+TEST(HashJoin, SkewedKeysStillCorrect) {
+  // Zipf-skewed foreign keys: every left row matches exactly one right row.
+  sim::Rng rng{59};
+  const sim::ZipfDistribution zipf{200, 1.2};
+  Ints foreign, primary;
+  for (int i = 0; i < 10000; ++i) {
+    foreign.push_back(static_cast<std::int64_t>(zipf(rng)));
+  }
+  for (std::int64_t k = 0; k < 200; ++k) primary.push_back(k);
+  EXPECT_EQ(join_kv(kv_table(foreign, Ints(foreign.size())),
+                    kv_table(primary, primary))
+                .row_count(),
+            10000u);
+}
+
+TEST(Aggregate, EmptyInput) {
+  EXPECT_EQ(group_kv(kv_table({}, {}), Aggregate::kSum).row_count(), 0u);
+}
+
+TEST(Aggregate, SumPerGroup) {
+  const auto out =
+      group_kv(kv_table({1, 2, 1, 2, 3}, {10, 20, 5, 1, 7}), Aggregate::kSum);
+  EXPECT_EQ(out.ints("k"), (Ints{1, 2, 3}));
+  EXPECT_EQ(out.ints("out"), (Ints{15, 21, 7}));
+}
+
+TEST(Aggregate, CountIgnoresPayload) {
+  const auto out =
+      group_kv(kv_table({1, 1, 2}, {999, 999, 999}), Aggregate::kCount);
+  EXPECT_EQ(out.ints("out"), (Ints{2, 1}));
+}
+
+TEST(Aggregate, MinAndMax) {
+  const auto t = kv_table({1, 1, 1}, {10, -3, 99});
+  EXPECT_EQ(group_kv(t, Aggregate::kMin).ints("out"), Ints{-3});
+  EXPECT_EQ(group_kv(t, Aggregate::kMax).ints("out"), Ints{99});
+}
+
+TEST(Aggregate, ResultsSortedByKey) {
+  // Unsigned key order: non-negative keys first, then the negative ones.
+  const auto out =
+      group_kv(kv_table({-1, 7, INT64_MIN, 0, 7, -1}, Ints(6)),
+               Aggregate::kSum);
+  EXPECT_EQ(out.ints("k"), (Ints{0, 7, INT64_MIN, -1}));
+}
+
+TEST(Aggregate, MatchesStdMapReference) {
+  sim::Rng rng{11};
+  const auto t = random_kv(rng, 20000, 500);
+  std::map<std::int64_t, std::int64_t> reference;
+  for (std::size_t i = 0; i < t.row_count(); ++i) {
+    reference[t.ints("k")[i]] += t.ints("v")[i];
+  }
+  Ints keys, sums;
+  for (const auto& [k, sum] : reference) {
+    keys.push_back(k);
+    sums.push_back(sum);
+  }
+  const auto out = group_kv(t, Aggregate::kSum);
+  EXPECT_EQ(out.ints("k"), keys);
+  EXPECT_EQ(out.ints("out"), sums);
+}
+
+TEST(Aggregate, KeyZeroGrouped) {
+  // Keys 0 and INT64_MIN are two groups.
+  const auto out = group_kv(kv_table({0, INT64_MIN, 0, 5}, {1, 10, 100, 1000}),
+                            Aggregate::kSum);
+  EXPECT_EQ(out.ints("k"), (Ints{0, 5, INT64_MIN}));
+  EXPECT_EQ(out.ints("out"), (Ints{101, 1000, 10}));
+}
+
+TEST(DistinctKeys, CountsUnique) {
+  sim::Rng rng{13};
+  EXPECT_EQ(group_kv(random_kv(rng, 10000, 73), Aggregate::kCount).row_count(),
+            73u);
 }
 
 }  // namespace

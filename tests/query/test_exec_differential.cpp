@@ -17,16 +17,19 @@ namespace {
 
 void expect_tables_equal(const Table& a, const Table& b,
                          const std::string& context) {
-  ASSERT_EQ(a.row_count(), b.row_count()) << context;
-  ASSERT_EQ(a.column_names(), b.column_names()) << context;
-  for (const auto& col : a.column_names()) {
-    ASSERT_EQ(a.column_type(col), b.column_type(col)) << context << " " << col;
-    if (a.column_type(col) == ColumnType::kInt) {
-      ASSERT_EQ(a.ints(col), b.ints(col)) << context << " " << col;
-    } else {
-      ASSERT_EQ(a.strings(col), b.strings(col)) << context << " " << col;
-    }
+  ASSERT_TRUE(a == b) << context << '\n'
+                      << a.to_string() << "differs from\n"
+                      << b.to_string();
+}
+
+/// Join and group key: a small value of either sign, or one time in ten a
+/// key that hash tables must keep apart (0, INT64_MIN, INT64_MAX).
+std::int64_t random_key(sim::Rng& rng) {
+  if (rng.chance(0.1)) {
+    constexpr std::int64_t kEdges[] = {0, INT64_MIN, INT64_MAX};
+    return kEdges[rng.uniform_index(3)];
   }
+  return static_cast<std::int64_t>(rng.uniform_index(12)) - 6;
 }
 
 Table random_table(sim::Rng& rng, std::size_t rows) {
@@ -35,9 +38,9 @@ Table random_table(sim::Rng& rng, std::size_t rows) {
   std::vector<std::string> tag;
   const char* tags[] = {"red", "green", "blue", "cyan", "violet"};
   for (std::size_t i = 0; i < rows; ++i) {
-    key.push_back(static_cast<std::int64_t>(rng.uniform_index(12)));
-    // Mix in negatives and large magnitudes to stress sum wraparound,
-    // min/max bias encoding, and join key hashing.
+    key.push_back(random_key(rng));
+    // Mix in negatives and large magnitudes to stress sum wraparound and
+    // signed min/max.
     value.push_back(static_cast<std::int64_t>(rng.uniform_index(2001)) -
                     1000);
     wide.push_back(rng.chance(0.05)
@@ -56,7 +59,7 @@ Table random_right(sim::Rng& rng, std::size_t rows) {
   Table t;
   std::vector<std::int64_t> key, weight;
   for (std::size_t i = 0; i < rows; ++i) {
-    key.push_back(static_cast<std::int64_t>(rng.uniform_index(12)));
+    key.push_back(random_key(rng));
     weight.push_back(static_cast<std::int64_t>(rng.uniform_index(50)));
   }
   t.add_int_column("key", std::move(key));
