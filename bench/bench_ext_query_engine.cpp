@@ -3,8 +3,8 @@
 // workload (Rec 10: accelerated building blocks inside a framework).
 //
 // Sweeps batch size, join order, and table scale; every cell cross-checks
-// that the vectorized result is byte-identical to Query::run(), and one
-// case runs the same plan over an LSM-backed scan (storage substrate
+// that the vectorized result is byte-identical to Plan::interpret(), and
+// one case runs the same plan over an LSM-backed scan (storage substrate
 // instead of a resident table). In --quick mode the bench gates on the
 // vectorized path being >= 3x faster than the interpreter on the
 // join-aggregate query at the largest quick scale and exits 1 on failure
@@ -40,24 +40,24 @@ constexpr bool kSanitized = false;
 #endif
 
 using rb::query::Aggregate;
-using rb::query::Query;
 using rb::query::Table;
+using rb::query::exec::Plan;
+using rb::query::exec::PlanBuilder;
 using rb::workloads::QueryTables;
 
 /// The benchmark query: revenue by customer over large-ticket lineitems,
-/// top 10. `items_probe` picks the join order (lineitems probing an orders
-/// build, or the reverse).
-Query make_query(const QueryTables& t, bool items_probe) {
-  Query q = items_probe ? Query(t.lineitems) : Query(t.orders);
-  q.join(items_probe ? t.orders : t.lineitems, "order_id", "order_id")
+/// top 10. `scan` probes a hash join built on `build`, so the caller picks
+/// the join order (lineitems probing an orders build, or the reverse).
+Plan make_plan(PlanBuilder scan, const Table& build) {
+  return scan.join(build, "order_id", "order_id")
       // Range form so the vectorized engine takes the SIMD selection path;
       // the interpreter evaluates the identical lo <= a < hi predicate.
-      .where_between("amount", 20'000,
-                     std::numeric_limits<std::int64_t>::max())
+      .filter_between("amount", 20'000,
+                      std::numeric_limits<std::int64_t>::max())
       .group_by("customer", Aggregate::kSum, "amount", "revenue")
       .order_by("revenue", true)
-      .limit(10);
-  return q;
+      .limit(10)
+      .build();
 }
 
 }  // namespace
@@ -92,14 +92,15 @@ int main(int argc, char** argv) {
     const auto tables = rb::workloads::order_query_tables(
         n_orders, 4.0, 0.8, /*seed=*/42 + n_orders);
     for (const bool items_probe : {true, false}) {
-      const Query query = make_query(tables, items_probe);
-      const Table reference = query.run();
-      const double fluent_ms = rb::bench::best_ms(reps, [&query] {
-        const Table t = query.run();
+      const Plan plan =
+          items_probe ? make_plan(PlanBuilder{tables.lineitems}, tables.orders)
+                      : make_plan(PlanBuilder{tables.orders}, tables.lineitems);
+      const Table reference = plan.interpret();
+      const double fluent_ms = rb::bench::best_ms(reps, [&plan] {
+        const Table t = plan.interpret();
         if (t.row_count() > 10) std::abort();  // keep the result live
       });
       for (const std::size_t batch : batch_sizes) {
-        const auto plan = rb::query::exec::compile(query);
         rb::query::exec::ExecOptions opts;
         opts.batch_size = batch;
         const bool identical = plan.run(opts) == reference;
@@ -136,16 +137,9 @@ int main(int argc, char** argv) {
     lsm_opts.memtable_bytes = 1 << 16;  // forces SSTable flushes
     rb::storage::LsmStore store{lsm_opts};
     rb::query::exec::store_table(store, "lineitems", tables.lineitems);
-    auto plan =
-        rb::query::exec::PlanBuilder(store, "lineitems")
-            .join(tables.orders, "order_id", "order_id")
-            .filter_between("amount", 20'000,
-                            std::numeric_limits<std::int64_t>::max())
-            .group_by("customer", Aggregate::kSum, "amount", "revenue")
-            .order_by("revenue", true)
-            .limit(10)
-            .build();
-    const Table reference = make_query(tables, /*items_probe=*/true).run();
+    const Plan plan = make_plan(PlanBuilder{store, "lineitems"}, tables.orders);
+    const Table reference =
+        make_plan(PlanBuilder{tables.lineitems}, tables.orders).interpret();
     lsm_identical = plan.run() == reference;
     const double lsm_ms =
         rb::bench::best_ms(reps, [&plan] { (void)plan.run(); });

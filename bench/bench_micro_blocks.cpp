@@ -1,9 +1,10 @@
 // MICRO-BLOCKS — gated micro-benchmarks of the CPU building blocks.
 //
-// Section 1 sweeps the dispatched SIMD kernels (selection scan, hash-probe,
-// selected-sum) across every ISA level this CPU reaches, on 64-byte-aligned
-// cache-resident inputs. Section 2 reports the headline tuned-vs-scalar
-// gaps through simd_measure.hpp — the same numbers E2/E8 consume.
+// Section 1 sweeps the dispatched selection-scan kernel across every ISA
+// level this CPU reaches, on 64-byte-aligned cache-resident inputs.
+// Section 2 reports the headline tuned-vs-scalar gaps (selection scan and
+// hash-join probe) through simd_measure.hpp — the same numbers E2/E8
+// consume.
 // Section 3 (full mode only) times the remaining blocks backing E2/E10:
 // the query engine's hash join and group aggregation (each one plan that
 // builds, probes and materializes), radix sort, blocked GEMM, Aho-Corasick
@@ -56,17 +57,14 @@ std::vector<simd::Isa> reachable_isas() {
   return out;
 }
 
-/// Per-ISA kernel sweep: GRows/s for the three scan-side kernels.
+/// Per-ISA kernel sweep: GRows/s of the selection scan.
 void sweep_isas(bench::Report& report) {
   bench::Aligned<std::int64_t> values{kRows};
   bench::Aligned<std::uint32_t> sel{kRows};
   bench::fill_scan_column(values, kRows, 11);
-  const std::size_t m_all =
-      simd::scalar_kernels().select_between(values.p, kRows, 250, 750, sel.p);
   const int reps = static_cast<int>((1u << 22) / kRows) + 1;
 
-  std::printf("  %-8s %14s %14s %14s\n", "isa", "select GR/s", "count GR/s",
-              "sum GR/s");
+  std::printf("  %-8s %14s\n", "isa", "select GR/s");
   for (const simd::Isa isa : reachable_isas()) {
     const bench::IsaGuard guard{isa};
     const auto& k = simd::kernels();
@@ -80,36 +78,12 @@ void sweep_isas(bench::Report& report) {
                             sink = acc;
                           }) /
                           reps;
-    const double cnt_ms = best_ms(5, [&] {
-                            std::uint64_t acc = 0;
-                            for (int r = 0; r < reps; ++r) {
-                              acc += k.count_between(values.p, kRows, 250,
-                                                     750);
-                            }
-                            sink = acc;
-                          }) /
-                          reps;
-    const double sum_ms =
-        best_ms(5, [&] {
-          std::uint64_t acc = 0;
-          for (int r = 0; r < reps; ++r) {
-            acc += static_cast<std::uint64_t>(
-                k.sum_selected(values.p, sel.p, m_all));
-          }
-          sink = acc;
-        }) /
-        reps;
     (void)sink;
-    const auto grows = [](std::size_t rows, double ms) {
-      return static_cast<double>(rows) / (ms * 1e6);
-    };
-    std::printf("  %-8s %14.2f %14.2f %14.2f\n", simd::to_string(isa),
-                grows(kRows, sel_ms), grows(kRows, cnt_ms),
-                grows(m_all, sum_ms));
-    const std::string tag = std::string{"isa."} + simd::to_string(isa);
-    report.metric(tag + ".select_grows", grows(kRows, sel_ms));
-    report.metric(tag + ".count_grows", grows(kRows, cnt_ms));
-    report.metric(tag + ".sum_grows", grows(m_all, sum_ms));
+    const double grows = static_cast<double>(kRows) / (sel_ms * 1e6);
+    std::printf("  %-8s %14.2f\n", simd::to_string(isa), grows);
+    report.metric(std::string{"isa."} + simd::to_string(isa) +
+                      ".select_grows",
+                  grows);
   }
 }
 

@@ -1,12 +1,13 @@
 // SQL-era analytics on the framework-era substrate (paper Sec IV.C.1).
 //
 // The query layer states a classic revenue report — join orders to line
-// items, filter, aggregate, rank — as one fluent chain. The reference
-// interpreter runs it a table per stage; the same chain then runs through
+// items, filter, aggregate, rank — as one PlanBuilder chain. The reference
+// interpreter runs it a table per stage; the same plan then runs through
 // the vectorized push-based engine (query/exec), which streams column
 // batches through an operator pipeline built on the accelerated building
-// blocks (SIMD hash probe, selection scan, top-k sift); the two answers
-// must be byte-identical. Finally the report is recomputed through the raw
+// blocks (SIMD hash probe, selection scan, top-k sift), and the run's
+// ExecStats name the physical plan it took; the two answers must be
+// byte-identical. Finally the report is recomputed through the raw
 // dataflow API to show the two abstraction levels the paper contrasts
 // produce identical answers.
 
@@ -28,22 +29,23 @@ int main() {
   // FROM orders JOIN items USING (order_id)
   // WHERE amount >= 5000
   // GROUP BY customer ORDER BY revenue DESC LIMIT 10;
-  const auto query =
-      query::Query(tables.orders)
+  const auto plan =
+      query::exec::PlanBuilder(tables.orders)
           .join(tables.lineitems, "order_id", "order_id")
-          .where_int("amount", [](std::int64_t a) { return a >= 5000; })
+          .filter_int("amount", [](std::int64_t a) { return a >= 5000; })
           .group_by("customer", query::Aggregate::kSum, "amount", "revenue")
           .order_by("revenue", true)
-          .limit(10);
-  const auto report = query.run();
+          .limit(10)
+          .build();
+  const auto report = plan.interpret();
   std::printf("top customers by revenue (fluent interpreter):\n%s\n",
               report.to_string().c_str());
 
-  // --- The same chain compiled onto the vectorized push-based engine ---
-  const auto plan = query::exec::compile(query);
-  std::printf("physical plan:");
-  for (const auto& op : plan.describe()) std::printf(" %s", op.c_str());
-  const auto vectorized = plan.run();
+  // --- The same plan on the vectorized push-based engine ---
+  query::exec::ExecStats stats;
+  const auto vectorized = plan.run({}, &stats);
+  std::printf("physical plan: %s", stats.source.c_str());
+  for (const auto& op : stats.operators) std::printf(" %s", op.op.c_str());
   std::printf("\n\ntop customers by revenue (vectorized pipeline):\n%s\n",
               vectorized.to_string().c_str());
 

@@ -91,43 +91,6 @@ std::size_t select_between_avx2(const std::int64_t* values, std::size_t n,
   return m;
 }
 
-std::size_t count_between_avx2(const std::int64_t* values, std::size_t n,
-                               std::int64_t lo, std::int64_t hi) noexcept {
-  const __m256i vlo = _mm256_set1_epi64x(lo);
-  const __m256i vhi = _mm256_set1_epi64x(hi);
-  std::size_t m = 0;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i v = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(values + i));
-    m += static_cast<std::size_t>(__builtin_popcount(static_cast<unsigned>(
-        _mm256_movemask_pd(_mm256_castsi256_pd(between_mask(v, vlo, vhi))))));
-  }
-  for (; i < n; ++i) {
-    m += static_cast<std::size_t>(values[i] >= lo && values[i] < hi);
-  }
-  return m;
-}
-
-std::int64_t sum_selected_avx2(const std::int64_t* values,
-                               const std::uint32_t* indices,
-                               std::size_t n) noexcept {
-  __m256i acc = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128i idx = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(indices + i));
-    acc = _mm256_add_epi64(
-        acc, _mm256_i32gather_epi64(
-                 reinterpret_cast<const long long*>(values), idx, 8));
-  }
-  alignas(32) std::uint64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  std::uint64_t sum = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-  for (; i < n; ++i) sum += static_cast<std::uint64_t>(values[indices[i]]);
-  return static_cast<std::int64_t>(sum);
-}
-
 std::size_t select_greater_avx2(const std::int64_t* values, std::size_t n,
                                 std::int64_t threshold,
                                 std::uint32_t* out) noexcept {
@@ -241,11 +204,9 @@ void hash_find_batch_avx2(const std::uint64_t* slot_words, std::uint64_t mask,
   }
 }
 
-constexpr Kernels kAvx2Kernels{
-    Isa::kAvx2,          select_between_avx2, count_between_avx2,
-    sum_selected_avx2,   select_greater_avx2, select_less_avx2,
-    hash_find_batch_avx2,
-};
+constexpr Kernels kAvx2Kernels{Isa::kAvx2, select_between_avx2,
+                               select_greater_avx2, select_less_avx2,
+                               hash_find_batch_avx2};
 
 }  // namespace
 

@@ -90,46 +90,6 @@ std::size_t select_between_avx512(const std::int64_t* values, std::size_t n,
   return m;
 }
 
-std::size_t count_between_avx512(const std::int64_t* values, std::size_t n,
-                                 std::int64_t lo, std::int64_t hi) noexcept {
-  if (hi <= lo) return 0;
-  const __m512i vlo = _mm512_set1_epi64(lo);
-  const __m512i vrange = _mm512_set1_epi64(static_cast<long long>(
-      static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo)));
-  std::size_t m = 0;
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512i v = _mm512_loadu_si512(values + i);
-    m += static_cast<std::size_t>(
-        __builtin_popcount(between_mask(v, vlo, vrange)));
-  }
-  for (; i < n; ++i) {
-    m += static_cast<std::size_t>(values[i] >= lo && values[i] < hi);
-  }
-  return m;
-}
-
-std::int64_t sum_selected_avx512(const std::int64_t* values,
-                                 const std::uint32_t* indices,
-                                 std::size_t n) noexcept {
-  __m512i acc = _mm512_setzero_si512();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256i idx = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(indices + i));
-    acc = _mm512_add_epi64(
-        acc, _mm512_i32gather_epi64(idx, values, 8));
-  }
-  // Store-based horizontal sum (GCC 12's _mm512_reduce_add_epi64 trips a
-  // -Wuninitialized false positive via _mm256_undefined_si256).
-  alignas(64) std::uint64_t lanes[8];
-  _mm512_store_si512(lanes, acc);
-  std::uint64_t sum = 0;
-  for (const std::uint64_t lane : lanes) sum += lane;
-  for (; i < n; ++i) sum += static_cast<std::uint64_t>(values[indices[i]]);
-  return static_cast<std::int64_t>(sum);
-}
-
 std::size_t select_greater_avx512(const std::int64_t* values, std::size_t n,
                                   std::int64_t threshold,
                                   std::uint32_t* out) noexcept {
@@ -230,11 +190,9 @@ void hash_find_batch_avx512(const std::uint64_t* slot_words,
   }
 }
 
-constexpr Kernels kAvx512Kernels{
-    Isa::kAvx512,          select_between_avx512, count_between_avx512,
-    sum_selected_avx512,   select_greater_avx512, select_less_avx512,
-    hash_find_batch_avx512,
-};
+constexpr Kernels kAvx512Kernels{Isa::kAvx512, select_between_avx512,
+                                 select_greater_avx512, select_less_avx512,
+                                 hash_find_batch_avx512};
 
 }  // namespace
 

@@ -38,42 +38,6 @@ std::size_t select_between_neon(const std::int64_t* values, std::size_t n,
   return m;
 }
 
-std::size_t count_between_neon(const std::int64_t* values, std::size_t n,
-                               std::int64_t lo, std::int64_t hi) noexcept {
-  const int64x2_t vlo = vdupq_n_s64(lo);
-  const int64x2_t vhi = vdupq_n_s64(hi);
-  uint64x2_t acc = vdupq_n_u64(0);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const int64x2_t v = vld1q_s64(values + i);
-    const uint64x2_t mask = vbicq_u64(vcgeq_s64(v, vlo), vcgeq_s64(v, vhi));
-    // mask lanes are all-ones; subtracting accumulates +1 per hit.
-    acc = vsubq_u64(acc, mask);
-  }
-  std::size_t m = static_cast<std::size_t>(vgetq_lane_u64(acc, 0) +
-                                           vgetq_lane_u64(acc, 1));
-  for (; i < n; ++i) {
-    m += static_cast<std::size_t>(values[i] >= lo && values[i] < hi);
-  }
-  return m;
-}
-
-std::int64_t sum_selected_neon(const std::int64_t* values,
-                               const std::uint32_t* indices,
-                               std::size_t n) noexcept {
-  // No gather on NEON: scalar loads, vector accumulate (uint64 wraparound).
-  uint64x2_t acc = vdupq_n_u64(0);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    uint64x2_t v = vdupq_n_u64(static_cast<std::uint64_t>(values[indices[i]]));
-    v = vsetq_lane_u64(static_cast<std::uint64_t>(values[indices[i + 1]]), v, 1);
-    acc = vaddq_u64(acc, v);
-  }
-  std::uint64_t sum = vgetq_lane_u64(acc, 0) + vgetq_lane_u64(acc, 1);
-  for (; i < n; ++i) sum += static_cast<std::uint64_t>(values[indices[i]]);
-  return static_cast<std::int64_t>(sum);
-}
-
 std::size_t select_greater_neon(const std::int64_t* values, std::size_t n,
                                 std::int64_t threshold,
                                 std::uint32_t* out) noexcept {
@@ -121,11 +85,9 @@ void hash_find_batch_neon(const std::uint64_t* slot_words, std::uint64_t mask,
   scalar_kernels().hash_find_batch(slot_words, mask, keys, n, values, found);
 }
 
-constexpr Kernels kNeonKernels{
-    Isa::kNeon,          select_between_neon, count_between_neon,
-    sum_selected_neon,   select_greater_neon, select_less_neon,
-    hash_find_batch_neon,
-};
+constexpr Kernels kNeonKernels{Isa::kNeon, select_between_neon,
+                               select_greater_neon, select_less_neon,
+                               hash_find_batch_neon};
 
 }  // namespace
 

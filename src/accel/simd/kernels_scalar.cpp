@@ -1,6 +1,6 @@
 // Scalar kernel table — the always-correct fallback and the differential
 // oracle every SIMD table is fuzz-compared against. Loops are branch-free
-// (predicated) where it pays, matching the original accel/scan.cpp style.
+// (predicated) where it pays.
 
 #include "accel/simd/simd.hpp"
 
@@ -18,26 +18,6 @@ std::size_t select_between_scalar(const std::int64_t* values, std::size_t n,
     m += static_cast<std::size_t>(values[i] >= lo && values[i] < hi);
   }
   return m;
-}
-
-std::size_t count_between_scalar(const std::int64_t* values, std::size_t n,
-                                 std::int64_t lo, std::int64_t hi) noexcept {
-  std::size_t m = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    m += static_cast<std::size_t>(values[i] >= lo && values[i] < hi);
-  }
-  return m;
-}
-
-std::int64_t sum_selected_scalar(const std::int64_t* values,
-                                 const std::uint32_t* indices,
-                                 std::size_t n) noexcept {
-  // uint64 accumulator: overflow wraps identically on every ISA.
-  std::uint64_t sum = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    sum += static_cast<std::uint64_t>(values[indices[i]]);
-  }
-  return static_cast<std::int64_t>(sum);
 }
 
 std::size_t select_greater_scalar(const std::int64_t* values, std::size_t n,
@@ -86,11 +66,9 @@ void hash_find_batch_scalar(const std::uint64_t* slot_words,
   }
 }
 
-constexpr Kernels kScalarKernels{
-    Isa::kScalar,          select_between_scalar, count_between_scalar,
-    sum_selected_scalar,   select_greater_scalar, select_less_scalar,
-    hash_find_batch_scalar,
-};
+constexpr Kernels kScalarKernels{Isa::kScalar, select_between_scalar,
+                                 select_greater_scalar, select_less_scalar,
+                                 hash_find_batch_scalar};
 
 }  // namespace
 

@@ -15,9 +15,9 @@
 //
 // Kernel contracts are bit-exact with the scalar twins: identical outputs
 // for identical inputs on every ISA, including key 0 (never in a slot),
-// wraparound (two's-complement) int64 sums, and ascending selection-index
-// order. The differential tests in
-// tests/accel/test_simd_differential.cpp enforce this.
+// int64 boundary values, and ascending selection-index order. The
+// differential tests in tests/accel/test_simd_differential.cpp enforce
+// this.
 
 #include <cstddef>
 #include <cstdint>
@@ -54,17 +54,6 @@ struct Kernels {
   std::size_t (*select_between)(const std::int64_t* values, std::size_t n,
                                 std::int64_t lo, std::int64_t hi,
                                 std::uint32_t* out) noexcept;
-
-  /// Count of i with lo <= values[i] < hi.
-  std::size_t (*count_between)(const std::int64_t* values, std::size_t n,
-                               std::int64_t lo, std::int64_t hi) noexcept;
-
-  /// Sum of values[indices[i]] with two's-complement wraparound (the
-  /// accumulator is uint64 internally, so overflow is defined and
-  /// identical on every ISA). Indices must be < 2^31.
-  std::int64_t (*sum_selected)(const std::int64_t* values,
-                               const std::uint32_t* indices,
-                               std::size_t n) noexcept;
 
   /// Write the indices i with values[i] > threshold into `out`
   /// (capacity >= n); returns the match count. The top-k sift filter.

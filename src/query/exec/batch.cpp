@@ -116,4 +116,45 @@ void ColumnBatch::clear() {
   clear_selection();
 }
 
+void ColumnBatch::append_active(const ColumnBatch& src) {
+  if (src.has_selection_) {
+    append_rows(src, src.selection_.data(), src.selection_.size());
+    return;
+  }
+  zip_columns(src, [&src](auto& dst, const auto& from) {
+    dst.insert(dst.end(), from.begin(),
+               from.begin() + static_cast<std::ptrdiff_t>(src.rows_));
+  });
+  rows_ += src.rows_;
+}
+
+void ColumnBatch::append_rows(const ColumnBatch& src,
+                              const std::uint32_t* rows, std::size_t n) {
+  zip_columns(src, [rows, n](auto& dst, const auto& from) {
+    for (std::size_t i = 0; i < n; ++i) dst.push_back(from[rows[i]]);
+  });
+  rows_ += n;
+}
+
+void ColumnBatch::set_row(std::size_t row, const ColumnBatch& src,
+                          std::uint32_t src_row) {
+  zip_columns(src, [row, src_row](auto& dst, const auto& from) {
+    dst[row] = from[src_row];
+  });
+}
+
+Table ColumnBatch::take_table() {
+  Table out;
+  for (std::size_t c = 0; c < cols_.size(); ++c) {
+    const BatchColumn& col = schema_->at(c);
+    if (col.type == ColumnType::kInt) {
+      out.add_int_column(col.name, std::move(cols_[c].ints));
+    } else {
+      out.add_string_column(col.name, std::move(cols_[c].strings));
+    }
+  }
+  clear();
+  return out;
+}
+
 }  // namespace rb::query::exec

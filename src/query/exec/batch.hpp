@@ -1,20 +1,22 @@
 #pragma once
 // Column batches — the unit of data flow in the vectorized query engine.
 //
-// A ColumnBatch is a fixed-capacity slice of a relation: one vector per
-// column (int64 or string, mirroring query::Table's types) plus an optional
-// selection vector. Filters never copy data; they narrow the selection
-// vector and pass the same physical batch downstream, so a chain of
-// predicates costs one pass over the selection indices instead of one
-// materialized table per stage — the core trick of vectorized engines
-// (MonetDB/X100 lineage, the CWI expertise in the paper's Table 1).
+// A ColumnBatch is a slice of a relation: one vector per column (int64 or
+// string, mirroring query::Table's types) plus an optional selection
+// vector. Filters never copy data; they narrow the selection vector and
+// pass the same physical batch downstream, so a chain of predicates costs
+// one pass over the selection indices instead of one materialized table
+// per stage — the core trick of vectorized engines (MonetDB/X100 lineage,
+// the CWI expertise in the paper's Table 1). The same type is also the
+// engine's row buffer: the blocking operators and the sink append the rows
+// they keep to a ColumnBatch of their own.
 
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "query/table.hpp"  // ColumnType
+#include "query/table.hpp"
 
 namespace rb::query::exec {
 
@@ -50,7 +52,9 @@ using SchemaPtr = std::shared_ptr<const BatchSchema>;
 
 /// One batch of rows. Physical rows live densely in the column vectors;
 /// when a selection is set, only the listed row indices (strictly
-/// ascending) are logically present.
+/// ascending) are logically present. The capacity bounds how many rows a
+/// producer puts in one batch it pushes (and is reserved up front); a row
+/// buffer filled through the append members may grow past it.
 class ColumnBatch {
  public:
   ColumnBatch(SchemaPtr schema, std::size_t capacity);
@@ -87,6 +91,19 @@ class ColumnBatch {
   /// Drop all rows and the selection; keeps column capacity reserved.
   void clear();
 
+  // Row-buffer members: `src` must have this batch's column types in the
+  // same order, and this batch must carry no selection.
+
+  /// Append `src`'s active rows, in order.
+  void append_active(const ColumnBatch& src);
+  /// Append rows rows[0..n) of `src`, in that order.
+  void append_rows(const ColumnBatch& src, const std::uint32_t* rows,
+                   std::size_t n);
+  /// Overwrite physical row `row` with row `src_row` of `src`.
+  void set_row(std::size_t row, const ColumnBatch& src, std::uint32_t src_row);
+  /// Move the physical rows out as a Table; the batch is left empty.
+  Table take_table();
+
   /// Visit each active row index in order.
   template <typename Fn>
   void for_each_active(Fn fn) const {
@@ -102,6 +119,18 @@ class ColumnBatch {
     std::vector<std::int64_t> ints;
     std::vector<std::string> strings;
   };
+
+  /// fn(dst, src) for each column's value vectors of the column's type.
+  template <typename Fn>
+  void zip_columns(const ColumnBatch& src, Fn fn) {
+    for (std::size_t c = 0; c < cols_.size(); ++c) {
+      if (schema_->at(c).type == ColumnType::kInt) {
+        fn(cols_[c].ints, src.cols_[c].ints);
+      } else {
+        fn(cols_[c].strings, src.cols_[c].strings);
+      }
+    }
+  }
 
   SchemaPtr schema_;
   std::size_t capacity_ = 0;

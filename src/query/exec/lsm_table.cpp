@@ -162,15 +162,15 @@ bool LsmSource::next(ColumnBatch& out) {
 }
 
 Table load_table(const storage::LsmStore& store, const std::string& name) {
+  constexpr std::size_t kBatchRows = 4096;
   LsmSource source{&store, name};
-  CollectSink sink{source.schema()};
-  ColumnBatch batch{source.schema(), 4096};
+  ColumnBatch batch{source.schema(), kBatchRows};
+  ColumnBatch rows{source.schema(), kBatchRows};  // grows past it
   while (source.next(batch)) {
-    sink.push(batch);
+    rows.append_active(batch);
     batch.clear();
   }
-  sink.finish();
-  return sink.take();
+  return rows.take_table();
 }
 
 }  // namespace rb::query::exec

@@ -1,6 +1,7 @@
 #include "query/exec/operators.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 
 #include "accel/simd/simd.hpp"
@@ -11,6 +12,10 @@ namespace {
 
 /// Sentinel for "no further entry" in the join match chains.
 constexpr std::int32_t kChainEnd = -1;
+
+/// Capacity of a row buffer whose final size is unknown: it reserves
+/// nothing up front and grows as rows arrive.
+constexpr std::size_t kGrowingBuffer = 1;
 
 /// Per-kernel SIMD row counter (obs::enabled() checked by callers).
 obs::Counter* simd_rows_counter(const char* kernel) {
@@ -49,6 +54,18 @@ void Operator::count_build_rows(std::uint64_t n) {
                                                   {{"op", name_}});
     }
     c_build_->add(n);
+  }
+}
+
+void Operator::emit_rows(const ColumnBatch& rows,
+                         const std::vector<std::uint32_t>& order,
+                         std::size_t batch_capacity) {
+  ColumnBatch out{out_schema_, batch_capacity};
+  for (std::size_t start = 0; start < order.size(); start += batch_capacity) {
+    const std::size_t n = std::min(batch_capacity, order.size() - start);
+    out.append_rows(rows, order.data() + start, n);
+    emit(out);
+    out.clear();
   }
 }
 
@@ -423,68 +440,23 @@ OrderBy::OrderBy(const SchemaPtr& in, std::string column, bool descending,
     : Operator{"order_by"},
       sort_col_{in->index_of(column, ColumnType::kInt)},
       descending_{descending},
-      batch_capacity_{batch_capacity} {
+      batch_capacity_{batch_capacity},
+      rows_{in, kGrowingBuffer} {
   out_schema_ = in;
-  col_slot_.resize(in->column_count());
-  for (std::size_t c = 0; c < in->column_count(); ++c) {
-    if (in->at(c).type == ColumnType::kInt) {
-      col_slot_[c] = int_store_.size();
-      int_store_.emplace_back();
-    } else {
-      col_slot_[c] = str_store_.size();
-      str_store_.emplace_back();
-    }
-  }
 }
 
-void OrderBy::do_push(ColumnBatch& batch) {
-  const auto& schema = *out_schema_;
-  for (std::size_t c = 0; c < schema.column_count(); ++c) {
-    if (schema.at(c).type == ColumnType::kInt) {
-      const auto& src = batch.ints(c);
-      auto& dst = int_store_[col_slot_[c]];
-      batch.for_each_active([&](std::uint32_t r) { dst.push_back(src[r]); });
-    } else {
-      const auto& src = batch.strings(c);
-      auto& dst = str_store_[col_slot_[c]];
-      batch.for_each_active([&](std::uint32_t r) { dst.push_back(src[r]); });
-    }
-  }
-  buffered_ += batch.active_count();
-}
+void OrderBy::do_push(ColumnBatch& batch) { rows_.append_active(batch); }
 
 void OrderBy::do_finish() {
-  out_batch_ = std::make_unique<ColumnBatch>(out_schema_, batch_capacity_);
-  const auto& keys = int_store_[col_slot_[sort_col_]];
-  std::vector<std::uint32_t> order(buffered_);
-  for (std::uint32_t i = 0; i < order.size(); ++i) order[i] = i;
+  const auto& keys = rows_.ints(sort_col_);
+  std::vector<std::uint32_t> order(rows_.row_count());
+  std::iota(order.begin(), order.end(), 0u);
   std::stable_sort(order.begin(), order.end(),
                    [&keys, this](std::uint32_t a, std::uint32_t b) {
                      return descending_ ? keys[a] > keys[b]
                                         : keys[a] < keys[b];
                    });
-  const auto& schema = *out_schema_;
-  for (std::size_t start = 0; start < order.size();
-       start += batch_capacity_) {
-    const std::size_t n =
-        std::min(batch_capacity_, order.size() - start);
-    for (std::size_t c = 0; c < schema.column_count(); ++c) {
-      if (schema.at(c).type == ColumnType::kInt) {
-        const auto& src = int_store_[col_slot_[c]];
-        auto& dst = out_batch_->ints(c);
-        for (std::size_t i = 0; i < n; ++i)
-          dst.push_back(src[order[start + i]]);
-      } else {
-        const auto& src = str_store_[col_slot_[c]];
-        auto& dst = out_batch_->strings(c);
-        for (std::size_t i = 0; i < n; ++i)
-          dst.push_back(src[order[start + i]]);
-      }
-    }
-    out_batch_->set_row_count(n);
-    emit(*out_batch_);
-    out_batch_->clear();
-  }
+  emit_rows(rows_, order, batch_capacity_);
 }
 
 /// --- TopK ----------------------------------------------------------------
@@ -495,42 +467,35 @@ TopK::TopK(const SchemaPtr& in, std::string column, bool descending,
       sort_col_{in->index_of(column, ColumnType::kInt)},
       descending_{descending},
       k_{k},
-      batch_capacity_{batch_capacity} {
+      batch_capacity_{batch_capacity},
+      rows_{in, std::max<std::size_t>(k, 1)} {
   out_schema_ = in;
-  col_slot_.resize(in->column_count());
-  for (std::size_t c = 0; c < in->column_count(); ++c) {
-    if (in->at(c).type == ColumnType::kInt) {
-      col_slot_[c] = int_store_.size();
-      int_store_.emplace_back(std::vector<std::int64_t>(k_));
-    } else {
-      col_slot_[c] = str_store_.size();
-      str_store_.emplace_back(std::vector<std::string>(k_));
-    }
-  }
   heap_.reserve(k_);
 }
 
-void TopK::store_row(const ColumnBatch& batch, std::uint32_t row,
-                     std::uint32_t slot) {
-  const auto& schema = *out_schema_;
-  for (std::size_t c = 0; c < schema.column_count(); ++c) {
-    if (schema.at(c).type == ColumnType::kInt) {
-      int_store_[col_slot_[c]][slot] = batch.ints(c)[row];
-    } else {
-      str_store_[col_slot_[c]][slot] = batch.strings(c)[row];
-    }
-  }
-}
-
-void TopK::do_push(ColumnBatch& batch) {
-  if (k_ == 0) return;
-  const auto& keys = batch.ints(sort_col_);
+void TopK::keep(const ColumnBatch& batch, std::uint32_t r, Entry e) {
   // Heap ordered so the *worst kept* entry is on top (front): std::heap
   // primitives build a max-heap under `better`, and the maximum under
   // "sorts-first" ordering is the entry that sorts last.
   const auto cmp = [this](const Entry& a, const Entry& b) {
     return better(a, b);
   };
+  if (heap_.size() < k_) {
+    e.slot = static_cast<std::uint32_t>(heap_.size());
+    rows_.append_rows(batch, &r, 1);
+    heap_.push_back(e);
+  } else {
+    std::pop_heap(heap_.begin(), heap_.end(), cmp);
+    e.slot = heap_.back().slot;
+    rows_.set_row(e.slot, batch, r);
+    heap_.back() = e;
+  }
+  std::push_heap(heap_.begin(), heap_.end(), cmp);
+}
+
+void TopK::do_push(ColumnBatch& batch) {
+  if (k_ == 0) return;
+  const auto& keys = batch.ints(sort_col_);
   if (heap_.size() == k_ && !batch.has_selection()) {
     // Fused sift: pre-filter the dense batch with the SIMD strict-compare
     // kernel against the worst kept value. The threshold only ratchets
@@ -557,64 +522,24 @@ void TopK::do_push(ColumnBatch& batch) {
     for (std::size_t i = 0; i < m; ++i) {
       const std::uint32_t r = sift_scratch_[i];
       const Entry e{keys[r], seq_base + r, 0};
-      if (better(e, heap_.front())) {
-        std::pop_heap(heap_.begin(), heap_.end(), cmp);
-        Entry kept = e;
-        kept.slot = heap_.back().slot;
-        store_row(batch, r, kept.slot);
-        heap_.back() = kept;
-        std::push_heap(heap_.begin(), heap_.end(), cmp);
-      }
+      if (better(e, heap_.front())) keep(batch, r, e);
     }
     seq_ = seq_base + n;
     return;
   }
   batch.for_each_active([&](std::uint32_t r) {
     const Entry e{keys[r], seq_++, 0};
-    if (heap_.size() < k_) {
-      Entry kept = e;
-      kept.slot = static_cast<std::uint32_t>(heap_.size());
-      store_row(batch, r, kept.slot);
-      heap_.push_back(kept);
-      std::push_heap(heap_.begin(), heap_.end(), cmp);
-    } else if (better(e, heap_.front())) {
-      std::pop_heap(heap_.begin(), heap_.end(), cmp);
-      Entry kept = e;
-      kept.slot = heap_.back().slot;
-      store_row(batch, r, kept.slot);
-      heap_.back() = kept;
-      std::push_heap(heap_.begin(), heap_.end(), cmp);
-    }
+    if (heap_.size() < k_ || better(e, heap_.front())) keep(batch, r, e);
   });
 }
 
 void TopK::do_finish() {
-  out_batch_ = std::make_unique<ColumnBatch>(out_schema_, batch_capacity_);
-  std::vector<Entry> kept = heap_;
-  std::sort(kept.begin(), kept.end(),
+  std::sort(heap_.begin(), heap_.end(),
             [this](const Entry& a, const Entry& b) { return better(a, b); });
-  const auto& schema = *out_schema_;
-  std::size_t filled = 0;
-  for (const Entry& e : kept) {
-    for (std::size_t c = 0; c < schema.column_count(); ++c) {
-      if (schema.at(c).type == ColumnType::kInt) {
-        out_batch_->ints(c).push_back(int_store_[col_slot_[c]][e.slot]);
-      } else {
-        out_batch_->strings(c).push_back(str_store_[col_slot_[c]][e.slot]);
-      }
-    }
-    if (++filled == batch_capacity_) {
-      out_batch_->set_row_count(filled);
-      emit(*out_batch_);
-      out_batch_->clear();
-      filled = 0;
-    }
-  }
-  if (filled > 0) {
-    out_batch_->set_row_count(filled);
-    emit(*out_batch_);
-    out_batch_->clear();
-  }
+  std::vector<std::uint32_t> order;
+  order.reserve(heap_.size());
+  for (const Entry& e : heap_) order.push_back(e.slot);
+  emit_rows(rows_, order, batch_capacity_);
 }
 
 /// --- Limit ---------------------------------------------------------------
@@ -680,49 +605,14 @@ void Project::do_push(ColumnBatch& batch) {
 
 /// --- CollectSink ---------------------------------------------------------
 
-CollectSink::CollectSink(const SchemaPtr& in) : Operator{"collect"} {
+CollectSink::CollectSink(const SchemaPtr& in)
+    : Operator{"collect"}, rows_{in, kGrowingBuffer} {
   out_schema_ = in;
-  col_slot_.resize(in->column_count());
-  for (std::size_t c = 0; c < in->column_count(); ++c) {
-    if (in->at(c).type == ColumnType::kInt) {
-      col_slot_[c] = int_cols_.size();
-      int_cols_.emplace_back();
-    } else {
-      col_slot_[c] = str_cols_.size();
-      str_cols_.emplace_back();
-    }
-  }
 }
 
 void CollectSink::do_push(ColumnBatch& batch) {
-  const auto& schema = *out_schema_;
-  for (std::size_t c = 0; c < schema.column_count(); ++c) {
-    if (schema.at(c).type == ColumnType::kInt) {
-      const auto& src = batch.ints(c);
-      auto& dst = int_cols_[col_slot_[c]];
-      batch.for_each_active([&](std::uint32_t r) { dst.push_back(src[r]); });
-    } else {
-      const auto& src = batch.strings(c);
-      auto& dst = str_cols_[col_slot_[c]];
-      batch.for_each_active([&](std::uint32_t r) { dst.push_back(src[r]); });
-    }
-  }
+  rows_.append_active(batch);
   stats_.rows_out += batch.active_count();
-}
-
-Table CollectSink::take() {
-  Table out;
-  const auto& schema = *out_schema_;
-  for (std::size_t c = 0; c < schema.column_count(); ++c) {
-    if (schema.at(c).type == ColumnType::kInt) {
-      out.add_int_column(schema.at(c).name,
-                         std::move(int_cols_[col_slot_[c]]));
-    } else {
-      out.add_string_column(schema.at(c).name,
-                            std::move(str_cols_[col_slot_[c]]));
-    }
-  }
-  return out;
 }
 
 }  // namespace rb::query::exec

@@ -84,27 +84,11 @@ class Operator {
     ++stats_.batches_in;
     stats_.rows_in += in;
     if (obs::enabled()) publish_in(in);
-    if (timed_) {
-      const auto t0 = std::chrono::steady_clock::now();
-      do_push(batch);
-      busy_ns_ += std::chrono::duration_cast<std::chrono::nanoseconds>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
-    } else {
-      do_push(batch);
-    }
+    run_timed([this, &batch] { do_push(batch); });
   }
 
   void finish() {
-    if (timed_) {
-      const auto t0 = std::chrono::steady_clock::now();
-      do_finish();
-      busy_ns_ += std::chrono::duration_cast<std::chrono::nanoseconds>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
-    } else {
-      do_finish();
-    }
+    run_timed([this] { do_finish(); });
     if (out_ != nullptr) out_->finish();
   }
 
@@ -131,6 +115,12 @@ class Operator {
     if (out_ != nullptr && n > 0) out_->push(batch);
   }
 
+  /// Forward rows order[0..n) of `rows` downstream, in that order, in
+  /// batches of `batch_capacity` (the blocking operators' output path).
+  void emit_rows(const ColumnBatch& rows,
+                 const std::vector<std::uint32_t>& order,
+                 std::size_t batch_capacity);
+
   void count_build_rows(std::uint64_t n);
 
   Operator* out_ = nullptr;
@@ -138,6 +128,20 @@ class Operator {
   OperatorStats stats_;
 
  private:
+  /// fn(), adding its wall time to busy_ns_ when the plan runs traced.
+  template <typename Fn>
+  void run_timed(Fn fn) {
+    if (!timed_) {
+      fn();
+      return;
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    fn();
+    busy_ns_ += std::chrono::duration_cast<std::chrono::nanoseconds>(
+                    std::chrono::steady_clock::now() - t0)
+                    .count();
+  }
+
   void resolve_counters();
   void publish_in(std::uint64_t rows);
   void publish_out(std::uint64_t rows);
@@ -298,12 +302,7 @@ class OrderBy : public Operator {
   std::size_t sort_col_;
   bool descending_;
   std::size_t batch_capacity_;
-  // Buffered rows, column-wise.
-  std::vector<std::vector<std::int64_t>> int_store_;
-  std::vector<std::vector<std::string>> str_store_;
-  std::vector<std::size_t> col_slot_;  // schema col -> store index
-  std::size_t buffered_ = 0;
-  std::unique_ptr<ColumnBatch> out_batch_;
+  ColumnBatch rows_;  // every buffered row, in arrival order
 };
 
 /// Fused OrderBy+Limit: bounded top-k selection, O(n log k) time and O(k)
@@ -329,8 +328,9 @@ class TopK : public Operator {
     if (a.v != b.v) return descending_ ? a.v > b.v : a.v < b.v;
     return a.seq < b.seq;
   }
-  void store_row(const ColumnBatch& batch, std::uint32_t row,
-                 std::uint32_t slot);
+  /// Keep row `r` of `batch` as `e`, evicting the worst kept entry once
+  /// all k slots are full.
+  void keep(const ColumnBatch& batch, std::uint32_t r, Entry e);
 
   std::size_t sort_col_;
   bool descending_;
@@ -338,12 +338,9 @@ class TopK : public Operator {
   std::size_t batch_capacity_;
   std::uint64_t seq_ = 0;
   std::vector<Entry> heap_;  // top = worst kept entry
-  std::vector<std::vector<std::int64_t>> int_store_;   // k slots per column
-  std::vector<std::vector<std::string>> str_store_;
-  std::vector<std::size_t> col_slot_;
+  ColumnBatch rows_;         // the kept rows; Entry::slot indexes them
   std::vector<std::uint32_t> sift_scratch_;  // SIMD pre-filter survivors
   obs::Counter* c_simd_rows_ = nullptr;
-  std::unique_ptr<ColumnBatch> out_batch_;
 };
 
 /// Pass through the first n active rows, then saturate (the plan driver
@@ -381,15 +378,13 @@ class CollectSink : public Operator {
   explicit CollectSink(const SchemaPtr& in);
 
   /// The materialized result (valid after finish()).
-  Table take();
+  Table take() { return rows_.take_table(); }
 
  protected:
   void do_push(ColumnBatch& batch) override;
 
  private:
-  std::vector<std::vector<std::int64_t>> int_cols_;
-  std::vector<std::vector<std::string>> str_cols_;
-  std::vector<std::size_t> col_slot_;
+  ColumnBatch rows_;
 };
 
 }  // namespace rb::query::exec

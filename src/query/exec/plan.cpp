@@ -29,8 +29,6 @@ bool is_streaming(const char* name) noexcept {
 
 }  // namespace
 
-Table Plan::run(const ExecOptions& opts) const { return run(opts, nullptr); }
-
 Table Plan::run(const ExecOptions& opts, ExecStats* stats) const {
   if (opts.batch_size == 0)
     throw std::invalid_argument{"Plan: batch_size must be positive"};
@@ -39,16 +37,15 @@ Table Plan::run(const ExecOptions& opts, ExecStats* stats) const {
   if (store_ != nullptr) {
     source = std::make_unique<LsmSource>(store_, lsm_table_);
   } else {
-    source = std::make_unique<TableSource>(source_table());
+    source = std::make_unique<TableSource>(&source_);
   }
 
-  const std::vector<Stage>& stages = this->stages();
   std::vector<std::unique_ptr<Operator>> ops;
   SchemaPtr schema = source->schema();
-  for (std::size_t i = 0; i < stages.size(); ++i) {
-    if (fuses_to_topk(stages, i)) {
-      const auto& ob = std::get<OrderByStage>(stages[i]);
-      const auto& lim = std::get<LimitStage>(stages[i + 1]);
+  for (std::size_t i = 0; i < stages_.size(); ++i) {
+    if (fuses_to_topk(stages_, i)) {
+      const auto& ob = std::get<OrderByStage>(stages_[i]);
+      const auto& lim = std::get<LimitStage>(stages_[i + 1]);
       ops.push_back(std::make_unique<TopK>(schema, ob.column, ob.descending,
                                            lim.n, opts.batch_size));
       ++i;
@@ -85,7 +82,7 @@ Table Plan::run(const ExecOptions& opts, ExecStats* stats) const {
                                             opts.batch_size));
             }
           },
-          stages[i]);
+          stages_[i]);
     }
     schema = ops.back()->output_schema();
   }
@@ -156,42 +153,13 @@ Table Plan::run(const ExecOptions& opts, ExecStats* stats) const {
   return sink->take();
 }
 
-std::vector<std::string> Plan::describe() const {
-  std::vector<std::string> names;
-  names.push_back(store_ != nullptr ? "lsm_scan" : "scan");
-  const std::vector<Stage>& stages = this->stages();
-  for (std::size_t i = 0; i < stages.size(); ++i) {
-    if (fuses_to_topk(stages, i)) {
-      names.push_back("topk");
-      ++i;
-      continue;
-    }
-    std::visit(
-        [&names](const auto& s) {
-          using S = std::decay_t<decltype(s)>;
-          if constexpr (std::is_same_v<S, FilterIntStage> ||
-                        std::is_same_v<S, FilterStringStage>) {
-            names.push_back("filter");
-          } else if constexpr (std::is_same_v<S, JoinStage>) {
-            names.push_back("hash_join");
-          } else if constexpr (std::is_same_v<S, GroupByStage>) {
-            names.push_back("group_aggregate");
-          } else if constexpr (std::is_same_v<S, OrderByStage>) {
-            names.push_back("order_by");
-          } else if constexpr (std::is_same_v<S, LimitStage>) {
-            names.push_back("limit");
-          } else {
-            names.push_back("project");
-          }
-        },
-        stages[i]);
-  }
-  names.push_back("collect");
-  return names;
+Table Plan::interpret() const {
+  return query::interpret(
+      store_ != nullptr ? load_table(*store_, lsm_table_) : source_, stages_);
 }
 
 PlanBuilder::PlanBuilder(Table source) {
-  plan_.owned_source_ = std::move(source);
+  plan_.source_ = std::move(source);
 }
 
 PlanBuilder::PlanBuilder(const storage::LsmStore& store,
@@ -202,14 +170,14 @@ PlanBuilder::PlanBuilder(const storage::LsmStore& store,
 
 PlanBuilder& PlanBuilder::filter_int(std::string column,
                                      std::function<bool(std::int64_t)> pred) {
-  plan_.owned_stages_.push_back(
+  plan_.stages_.push_back(
       FilterIntStage{std::move(column), std::move(pred)});
   return *this;
 }
 
 PlanBuilder& PlanBuilder::filter_between(std::string column, std::int64_t lo,
                                          std::int64_t hi) {
-  plan_.owned_stages_.push_back(FilterIntStage{
+  plan_.stages_.push_back(FilterIntStage{
       std::move(column),
       [lo, hi](std::int64_t v) { return v >= lo && v < hi; }, true, lo, hi});
   return *this;
@@ -217,14 +185,14 @@ PlanBuilder& PlanBuilder::filter_between(std::string column, std::int64_t lo,
 
 PlanBuilder& PlanBuilder::filter_string(
     std::string column, std::function<bool(const std::string&)> pred) {
-  plan_.owned_stages_.push_back(
+  plan_.stages_.push_back(
       FilterStringStage{std::move(column), std::move(pred)});
   return *this;
 }
 
 PlanBuilder& PlanBuilder::join(Table right, std::string left_key,
                                std::string right_key) {
-  plan_.owned_stages_.push_back(JoinStage{
+  plan_.stages_.push_back(JoinStage{
       std::move(right), std::move(left_key), std::move(right_key)});
   return *this;
 }
@@ -232,43 +200,26 @@ PlanBuilder& PlanBuilder::join(Table right, std::string left_key,
 PlanBuilder& PlanBuilder::group_by(std::string key, Aggregate agg,
                                    std::string value,
                                    std::string result_name) {
-  plan_.owned_stages_.push_back(GroupByStage{
+  plan_.stages_.push_back(GroupByStage{
       std::move(key), agg, std::move(value), std::move(result_name)});
   return *this;
 }
 
 PlanBuilder& PlanBuilder::order_by(std::string column, bool descending) {
-  plan_.owned_stages_.push_back(OrderByStage{std::move(column), descending});
+  plan_.stages_.push_back(OrderByStage{std::move(column), descending});
   return *this;
 }
 
 PlanBuilder& PlanBuilder::limit(std::size_t n) {
-  plan_.owned_stages_.push_back(LimitStage{n});
+  plan_.stages_.push_back(LimitStage{n});
   return *this;
 }
 
 PlanBuilder& PlanBuilder::project(std::vector<std::string> columns) {
-  plan_.owned_stages_.push_back(ProjectStage{std::move(columns)});
+  plan_.stages_.push_back(ProjectStage{std::move(columns)});
   return *this;
 }
 
 Plan PlanBuilder::build() { return std::move(plan_); }
 
-Plan compile(const Query& query) {
-  Plan plan;
-  plan.borrowed_source_ = &query.source();
-  plan.borrowed_stages_ = &query.stages();
-  return plan;
-}
-
 }  // namespace rb::query::exec
-
-namespace rb::query {
-
-Table Query::run_vectorized(std::size_t batch_size) const {
-  exec::ExecOptions opts;
-  opts.batch_size = batch_size;
-  return exec::compile(*this).run(opts);
-}
-
-}  // namespace rb::query

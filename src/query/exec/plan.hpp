@@ -1,25 +1,20 @@
 #pragma once
 // Physical plans for the vectorized push-based engine.
 //
-// A Plan is a source (in-memory Table or a table stored in an LSM store)
-// plus the same Stage descriptors the fluent Query records. run() compiles
-// the stages into the operator chain from operators.hpp — fusing
-// order_by+limit into the bounded TopK operator and stopping the scan
-// early when a Limit with a fully-streaming prefix saturates — then drives
-// batches from the source through the chain into a CollectSink.
-//
-// Two ways in:
-//   * PlanBuilder: standalone fluent construction, including LSM-backed
-//     scans:  PlanBuilder(store, "lineitem").filter_int(...).build()
-//   * compile(query): borrow an existing fluent Query's source and stages
-//     (zero-copy; the Query must outlive the Plan).
-//
-// Every plan produces results byte-identical to Query::run() on the same
-// stages — the differential tests enforce this property.
+// PlanBuilder is the one way to build a query: a source (an in-memory
+// Table, or a table stored in an LSM store) plus the Stage descriptors its
+// verbs record, e.g.
+//   PlanBuilder(store, "lineitem").filter_int(...).build()
+// Plan::run() compiles the stages into the operator chain from
+// operators.hpp — fusing order_by+limit into the bounded TopK operator and
+// stopping the scan early when a Limit with a fully-streaming prefix
+// saturates — then drives batches from the source through the chain into
+// a CollectSink. Plan::interpret() runs the same stages through the
+// reference interpreter (query::interpret), and every plan's run() is
+// byte-identical to its interpret() — the differential tests enforce this.
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -58,35 +53,27 @@ struct ExecStats {
 
 class Plan {
  public:
-  /// Execute and materialize the result. Column/type errors throw
-  /// std::invalid_argument (same contract as Query::run).
-  Table run(const ExecOptions& opts = {}) const;
-  Table run(const ExecOptions& opts, ExecStats* stats) const;
+  /// Execute on the vectorized engine and materialize the result; with
+  /// `stats`, also record the source and operator chain the run took.
+  /// Column/type errors throw std::invalid_argument (the same contract as
+  /// interpret()).
+  Table run(const ExecOptions& opts = {}, ExecStats* stats = nullptr) const;
 
-  /// Operator names in chain order after fusion (no validation, no
-  /// execution): e.g. {"scan", "hash_join", "filter", "topk", "collect"}.
-  std::vector<std::string> describe() const;
+  /// Run the same stages through the reference interpreter
+  /// (query::interpret); an LSM-backed plan interprets
+  /// load_table(store, name).
+  Table interpret() const;
 
  private:
   friend class PlanBuilder;
-  friend Plan compile(const Query& query);
 
-  const Table* source_table() const noexcept {
-    return owned_source_.has_value() ? &*owned_source_ : borrowed_source_;
-  }
-  const std::vector<Stage>& stages() const noexcept {
-    return borrowed_stages_ != nullptr ? *borrowed_stages_ : owned_stages_;
-  }
-
-  std::optional<Table> owned_source_;
-  const Table* borrowed_source_ = nullptr;
+  Table source_;
   const storage::LsmStore* store_ = nullptr;  // non-null = LSM-backed scan
   std::string lsm_table_;
-  std::vector<Stage> owned_stages_;
-  const std::vector<Stage>* borrowed_stages_ = nullptr;
+  std::vector<Stage> stages_;
 };
 
-/// Fluent plan construction mirroring the Query verbs.
+/// Fluent plan construction, one verb per Stage descriptor.
 class PlanBuilder {
  public:
   /// Scan an in-memory table (the builder owns a copy).
@@ -117,9 +104,5 @@ class PlanBuilder {
  private:
   Plan plan_;
 };
-
-/// Compile a fluent Query onto the vectorized engine. Borrows the query's
-/// source table and stages — the Query must outlive the returned Plan.
-Plan compile(const Query& query);
 
 }  // namespace rb::query::exec

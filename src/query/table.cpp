@@ -270,60 +270,8 @@ Table apply_project(Table t, const ProjectStage& s) {
 
 }  // namespace
 
-Query& Query::where_int(std::string column,
-                        std::function<bool(std::int64_t)> pred) {
-  stages_.push_back(FilterIntStage{std::move(column), std::move(pred)});
-  return *this;
-}
-
-Query& Query::where_between(std::string column, std::int64_t lo,
-                            std::int64_t hi) {
-  // The pred is built from (lo, hi), so the interpreter and the SIMD range
-  // path evaluate the same predicate by construction.
-  stages_.push_back(FilterIntStage{
-      std::move(column),
-      [lo, hi](std::int64_t v) { return v >= lo && v < hi; }, true, lo, hi});
-  return *this;
-}
-
-Query& Query::where_string(std::string column,
-                           std::function<bool(const std::string&)> pred) {
-  stages_.push_back(FilterStringStage{std::move(column), std::move(pred)});
-  return *this;
-}
-
-Query& Query::join(Table right, std::string left_key,
-                   std::string right_key) {
-  stages_.push_back(JoinStage{std::move(right), std::move(left_key),
-                              std::move(right_key)});
-  return *this;
-}
-
-Query& Query::group_by(std::string key, Aggregate agg, std::string value,
-                       std::string result_name) {
-  stages_.push_back(GroupByStage{std::move(key), agg, std::move(value),
-                                 std::move(result_name)});
-  return *this;
-}
-
-Query& Query::order_by(std::string column, bool descending) {
-  stages_.push_back(OrderByStage{std::move(column), descending});
-  return *this;
-}
-
-Query& Query::limit(std::size_t n) {
-  stages_.push_back(LimitStage{n});
-  return *this;
-}
-
-Query& Query::project(std::vector<std::string> columns) {
-  stages_.push_back(ProjectStage{std::move(columns)});
-  return *this;
-}
-
-Table Query::run() const {
-  Table current = table_;
-  for (const auto& stage : stages_) {
+Table interpret(Table current, const std::vector<Stage>& stages) {
+  for (const auto& stage : stages) {
     current = std::visit(
         [&current](const auto& s) -> Table {
           using S = std::decay_t<decltype(s)>;

@@ -1,33 +1,33 @@
 #pragma once
-// Columnar table + relational query layer over the dataflow framework.
+// Columnar table + the relational stages that query it, over the dataflow
+// framework.
 //
 // Sec IV.C.1 of the paper traces the shift from query languages (SQL on
 // clean relational data) to distributed frameworks. This module closes the
-// loop the way modern engines do: a small relational algebra compiled onto
-// a vectorized engine (query/exec) whose operators run the library's
+// loop the way modern engines do: a small relational algebra run on a
+// vectorized engine (query/exec) whose operators use the library's
 // accelerated building blocks (SIMD selection scan, hash probe, top-k
 // sift) — the "accelerated building blocks inside a framework" picture of
 // Rec 10.
 //
 // Tables are columnar: named, typed (int64 or string) columns of equal
-// length. Queries are built fluently and executed with run():
+// length. A query is a list of Stage descriptors (the variant below),
+// built with exec::PlanBuilder:
 //
-//   Table result = Query(orders)
+//   Table result = exec::PlanBuilder(orders)
 //       .join(lineitems, "order_id", "order_id")
-//       .where_int("amount", [](std::int64_t a) { return a > 100; })
+//       .filter_int("amount", [](std::int64_t a) { return a > 100; })
 //       .group_by("customer", Aggregate::kSum, "amount", "revenue")
 //       .order_by("revenue", /*descending=*/true)
 //       .limit(10)
+//       .build()
 //       .run();
 //
-// run() is the row-at-a-time reference interpreter: every stage fully
-// materializes its output table, and join and group-by are plain
-// standard-library code (std::unordered_map, std::map) that shares nothing
-// with the engine, so it stays an independent oracle. The same fluent
-// chain also compiles onto the vectorized push-based engine in query/exec
-// (run_vectorized(), or exec::compile() for explicit plans); both paths
-// produce byte-identical results. Stages are stored as introspectable
-// descriptors (the Stage variant below) so the compiler can walk them.
+// interpret() below is the row-at-a-time reference interpreter: every
+// stage fully materializes its output table, and join and group-by are
+// plain standard-library code (std::unordered_map, std::map) that shares
+// nothing with the engine, so it stays an independent oracle. A plan runs
+// it through Plan::interpret(); both paths produce byte-identical results.
 
 #include <cstdint>
 #include <functional>
@@ -90,15 +90,15 @@ enum class Aggregate : std::uint8_t { kSum, kCount, kMin, kMax };
 
 /// --- Stage descriptors -------------------------------------------------
 //
-// One per fluent verb, in chain order. Both execution paths (the reference
-// interpreter in Query::run and the vectorized compiler in query/exec)
-// consume the same descriptors, which is what keeps them semantically
-// aligned.
+// exec::PlanBuilder's verbs record these in chain order. Both execution
+// paths (the reference interpreter below and the vectorized engine in
+// query/exec) consume the same descriptors, which is what keeps them
+// semantically aligned.
 
 struct FilterIntStage {
   std::string column;
   std::function<bool(std::int64_t)> pred;
-  // Range metadata set by where_between/filter_between: when is_range is
+  // Range metadata set by PlanBuilder::filter_between: when is_range is
   // true, pred is exactly `lo <= v && v < hi`, so the vectorized engine may
   // run the dispatched SIMD range kernel instead of calling the opaque
   // std::function per row. Both paths compute the same predicate; the
@@ -142,60 +142,9 @@ using Stage = std::variant<FilterIntStage, FilterStringStage, JoinStage,
                            GroupByStage, OrderByStage, LimitStage,
                            ProjectStage>;
 
-/// Fluent relational query over a source table. Stages execute in the
-/// order they were chained when run() is called. All referenced columns
-/// are validated at run() time; errors throw std::invalid_argument.
-class Query {
- public:
-  explicit Query(Table source) : table_{std::move(source)} {}
-
-  /// Keep rows where `pred(value)` holds for the int column `column`.
-  Query& where_int(std::string column,
-                   std::function<bool(std::int64_t)> pred);
-
-  /// Keep rows with lo <= value < hi for the int column `column`.
-  /// Semantically identical to where_int with that predicate, but carries
-  /// the range so the vectorized engine can use the SIMD selection kernel.
-  Query& where_between(std::string column, std::int64_t lo, std::int64_t hi);
-
-  /// Keep rows where `pred(value)` holds for the string column `column`.
-  Query& where_string(std::string column,
-                      std::function<bool(const std::string&)> pred);
-
-  /// Inner equi-join with `right` on int key columns. Right columns keep
-  /// their names; a right column whose name collides gets suffix "_r".
-  Query& join(Table right, std::string left_key, std::string right_key);
-
-  /// Group by int or string column `key`, aggregating int column `value`.
-  /// The output has columns {key, result_name}.
-  Query& group_by(std::string key, Aggregate agg, std::string value,
-                  std::string result_name);
-
-  /// Sort by an int column.
-  Query& order_by(std::string column, bool descending = false);
-
-  /// Keep the first `n` rows.
-  Query& limit(std::size_t n);
-
-  /// Keep only the named columns, in the given order.
-  Query& project(std::vector<std::string> columns);
-
-  /// Execute row-at-a-time (full materialization between stages) and
-  /// return the result table. The reference semantics.
-  Table run() const;
-
-  /// Compile onto the vectorized push-based engine (query/exec) and
-  /// execute in column batches of `batch_size` rows. Byte-identical to
-  /// run() for every chain. Defined in exec/plan.cpp.
-  Table run_vectorized(std::size_t batch_size = 1024) const;
-
-  /// Introspection for the plan compiler.
-  const Table& source() const noexcept { return table_; }
-  const std::vector<Stage>& stages() const noexcept { return stages_; }
-
- private:
-  Table table_;
-  std::vector<Stage> stages_;
-};
+/// The row-at-a-time reference interpreter: run `stages` in order over
+/// `source`, fully materializing each stage's output table. Columns are
+/// validated as each stage runs; errors throw std::invalid_argument.
+Table interpret(Table source, const std::vector<Stage>& stages);
 
 }  // namespace rb::query

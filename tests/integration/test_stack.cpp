@@ -7,7 +7,7 @@
 #include <map>
 
 #include "dataflow/streaming.hpp"
-#include "query/table.hpp"
+#include "query/exec/plan.hpp"
 #include "storage/lsm.hpp"
 #include "workloads/generators.hpp"
 #include "workloads/trace.hpp"
@@ -49,8 +49,9 @@ TEST(Stack, SensorReadingsThroughLsmAndQuery) {
   table.add_int_column("sensor", std::move(sensor_ids));
   table.add_int_column("mv", std::move(millivalues));
   const auto maxima =
-      query::Query(std::move(table))
+      query::exec::PlanBuilder(std::move(table))
           .group_by("sensor", query::Aggregate::kMax, "mv", "peak")
+          .build()
           .run();
   EXPECT_EQ(maxima.row_count(), 8u);
 
@@ -104,8 +105,9 @@ TEST(Stack, StreamingWindowsAgreeWithQueryAggregates) {
   table.add_int_column("key", std::move(keys));
   table.add_int_column("mv", std::move(values));
   const auto batch =
-      query::Query(std::move(table))
+      query::exec::PlanBuilder(std::move(table))
           .group_by("key", query::Aggregate::kSum, "mv", "total")
+          .build()
           .run();
 
   ASSERT_EQ(batch.row_count(), streamed.size());

@@ -1,6 +1,7 @@
 // Unit tests for the vectorized push-based engine: column batches, the
-// operator chain, the LSM-backed table codec, the Plan compiler, and the
-// hash join and group-aggregate against small standard-library references.
+// operator chain, the LSM-backed table codec, plans (each run checked
+// against the same plan's interpret()), and the hash join and
+// group-aggregate against small standard-library references.
 
 #include <gtest/gtest.h>
 
@@ -32,6 +33,22 @@ Table people() {
 
 void expect_tables_equal(const Table& a, const Table& b) {
   EXPECT_TRUE(a == b) << a.to_string() << "differs from\n" << b.to_string();
+}
+
+/// The engine's result, after checking that the interpreter agrees.
+Table run_both(const Plan& plan, const ExecOptions& opts = {}) {
+  Table out = plan.run(opts);
+  expect_tables_equal(out, plan.interpret());
+  return out;
+}
+
+/// The source and operator chain a run of `plan` took, in order.
+std::vector<std::string> chain_of(const Plan& plan) {
+  ExecStats stats;
+  plan.run({}, &stats);
+  std::vector<std::string> names{stats.source};
+  for (const auto& op : stats.operators) names.push_back(op.op);
+  return names;
 }
 
 TEST(BatchSchema, RejectsDuplicateAndEmptyNames) {
@@ -83,10 +100,9 @@ TEST(Plan, ZeroBatchSizeThrows) {
 }
 
 TEST(Plan, FilterMatchesReference) {
-  auto query = Query(people()).where_int("age", [](std::int64_t a) {
-    return a > 26;
-  });
-  expect_tables_equal(compile(query).run(), query.run());
+  run_both(PlanBuilder(people())
+               .filter_int("age", [](std::int64_t a) { return a > 26; })
+               .build());
 }
 
 TEST(Plan, RunsAcrossBatchSizes) {
@@ -98,15 +114,16 @@ TEST(Plan, RunsAcrossBatchSizes) {
   }
   orders.add_int_column("id", std::move(ids));
   orders.add_int_column("amount", std::move(amounts));
-  auto query = Query(orders)
-                   .where_int("amount", [](std::int64_t a) { return a > 20; })
-                   .group_by("id", Aggregate::kSum, "amount", "total")
-                   .order_by("total", true);
-  const auto reference = query.run();
+  const auto plan =
+      PlanBuilder(orders)
+          .filter_int("amount", [](std::int64_t a) { return a > 20; })
+          .group_by("id", Aggregate::kSum, "amount", "total")
+          .order_by("total", true)
+          .build();
   for (const std::size_t bs : {1u, 3u, 64u, 4096u}) {
     ExecOptions opts;
     opts.batch_size = bs;
-    expect_tables_equal(compile(query).run(opts), reference);
+    run_both(plan, opts);
   }
 }
 
@@ -116,13 +133,13 @@ TEST(Plan, DescribeShowsFusedChain) {
                   .order_by("age", true)
                   .limit(2)
                   .build();
-  EXPECT_EQ(plan.describe(),
+  EXPECT_EQ(chain_of(plan),
             (std::vector<std::string>{"scan", "filter", "topk", "collect"}));
 }
 
 TEST(Plan, DescribeKeepsUnfusedOrderBy) {
   auto plan = PlanBuilder(people()).order_by("age").build();
-  EXPECT_EQ(plan.describe(),
+  EXPECT_EQ(chain_of(plan),
             (std::vector<std::string>{"scan", "order_by", "collect"}));
 }
 
@@ -131,7 +148,7 @@ TEST(Plan, HugeLimitDoesNotFuseIntoTopK) {
                   .order_by("age")
                   .limit(std::size_t{1} << 20)
                   .build();
-  EXPECT_EQ(plan.describe(), (std::vector<std::string>{
+  EXPECT_EQ(chain_of(plan), (std::vector<std::string>{
                                  "scan", "order_by", "limit", "collect"}));
   EXPECT_EQ(plan.run().row_count(), 4u);
 }
@@ -140,10 +157,9 @@ TEST(Plan, TopKMatchesStableSortPlusLimit) {
   Table t;
   t.add_int_column("v", {5, 1, 5, 3, 5, 1, 2, 5});
   t.add_int_column("row", {0, 1, 2, 3, 4, 5, 6, 7});
-  auto query = Query(t).order_by("v", true).limit(3);
   ExecOptions opts;
   opts.batch_size = 2;
-  expect_tables_equal(compile(query).run(opts), query.run());
+  run_both(PlanBuilder(t).order_by("v", true).limit(3).build(), opts);
 }
 
 TEST(Plan, LimitStopsScanEarly) {
@@ -151,15 +167,16 @@ TEST(Plan, LimitStopsScanEarly) {
   for (std::size_t i = 0; i < v.size(); ++i) v[i] = static_cast<int>(i);
   Table t;
   t.add_int_column("v", std::move(v));
-  auto query = Query(t)
-                   .where_int("v", [](std::int64_t x) { return x % 2 == 0; })
-                   .limit(5);
-  auto plan = compile(query);
+  const auto plan =
+      PlanBuilder(t)
+          .filter_int("v", [](std::int64_t x) { return x % 2 == 0; })
+          .limit(5)
+          .build();
   ExecOptions opts;
   opts.batch_size = 64;
   ExecStats stats;
   const auto result = plan.run(opts, &stats);
-  expect_tables_equal(result, query.run());
+  expect_tables_equal(result, plan.interpret());
   EXPECT_LT(stats.source_rows, 10'000u);  // stopped after the limit filled
 }
 
@@ -168,11 +185,10 @@ TEST(Plan, BlockingOperatorPreventsEarlyStop) {
   for (std::size_t i = 0; i < v.size(); ++i) v[i] = static_cast<int>(i);
   Table t;
   t.add_int_column("v", std::move(v));
-  auto query = Query(t).order_by("v", true).limit(1);
-  auto plan = compile(query);
+  const auto plan = PlanBuilder(t).order_by("v", true).limit(1).build();
   ExecStats stats;
   const auto result = plan.run({}, &stats);
-  expect_tables_equal(result, query.run());
+  expect_tables_equal(result, plan.interpret());
   EXPECT_EQ(stats.source_rows, 1'000u);  // topk must see every row
 }
 
@@ -180,11 +196,12 @@ TEST(Plan, ExecStatsRecordsChain) {
   Table teams;
   teams.add_int_column("team", {1, 2});
   teams.add_string_column("team_name", {"arch", "db"});
-  auto query = Query(people())
-                   .join(teams, "team", "team")
-                   .group_by("team_name", Aggregate::kCount, "age", "n");
+  const auto plan = PlanBuilder(people())
+                        .join(teams, "team", "team")
+                        .group_by("team_name", Aggregate::kCount, "age", "n")
+                        .build();
   ExecStats stats;
-  const auto result = compile(query).run({}, &stats);
+  const auto result = plan.run({}, &stats);
   EXPECT_EQ(result.row_count(), 2u);
   EXPECT_EQ(stats.source, "scan");
   EXPECT_EQ(stats.source_rows, 4u);
@@ -203,9 +220,10 @@ TEST(Plan, PublishesRegistryCountersWhenEnabled) {
   auto& reg = obs::Registry::global();
   reg.reset_for_test();
   obs::set_enabled(true);
-  Query(people())
-      .where_int("age", [](std::int64_t a) { return a >= 30; })
-      .run_vectorized();
+  PlanBuilder(people())
+      .filter_int("age", [](std::int64_t a) { return a >= 30; })
+      .build()
+      .run();
   obs::set_enabled(false);
   const obs::Labels labels{{"op", "filter"}};
   EXPECT_EQ(reg.counter("query.rows_in", labels).value(), 4u);
@@ -218,9 +236,10 @@ TEST(Plan, DisabledObsPublishesNothing) {
   auto& reg = obs::Registry::global();
   reg.reset_for_test();
   ASSERT_FALSE(obs::enabled());
-  Query(people())
-      .where_int("age", [](std::int64_t a) { return a >= 30; })
-      .run_vectorized();
+  PlanBuilder(people())
+      .filter_int("age", [](std::int64_t a) { return a >= 30; })
+      .build()
+      .run();
   const obs::Labels labels{{"op", "filter"}};
   EXPECT_EQ(reg.counter("query.rows_in", labels).value(), 0u);
 }
@@ -228,12 +247,14 @@ TEST(Plan, DisabledObsPublishesNothing) {
 TEST(Plan, EmitsOperatorSpansWhenTraced) {
   obs::TraceRecorder trace;
   trace.set_enabled(true);
-  auto query = Query(people())
-                   .where_int("age", [](std::int64_t a) { return a >= 25; })
-                   .group_by("team", Aggregate::kSum, "age", "total");
+  const auto plan =
+      PlanBuilder(people())
+          .filter_int("age", [](std::int64_t a) { return a >= 25; })
+          .group_by("team", Aggregate::kSum, "age", "total")
+          .build();
   ExecOptions opts;
   opts.trace = &trace;
-  compile(query).run(opts);
+  plan.run(opts);
   const auto events = trace.events();
   ASSERT_EQ(events.size(), 3u);  // filter, group_aggregate, collect
   EXPECT_EQ(events[0].category, "query.op");
@@ -259,13 +280,14 @@ TEST(Plan, DeterministicAcrossRuns) {
   }
   t.add_int_column("k", std::move(k));
   t.add_int_column("v", std::move(v));
-  auto query = Query(t)
-                   .group_by("k", Aggregate::kMax, "v", "m")
-                   .order_by("m", true)
-                   .limit(5);
-  const auto first = compile(query).run();
+  const auto plan = PlanBuilder(t)
+                        .group_by("k", Aggregate::kMax, "v", "m")
+                        .order_by("m", true)
+                        .limit(5)
+                        .build();
+  const auto first = plan.run();
   for (int i = 0; i < 3; ++i) {
-    expect_tables_equal(compile(query).run(), first);
+    expect_tables_equal(plan.run(), first);
   }
 }
 
@@ -273,23 +295,13 @@ TEST(PlanBuilder, StandaloneChainMatchesQuery) {
   Table teams;
   teams.add_int_column("team", {1, 2});
   teams.add_string_column("team_name", {"arch", "db"});
-  auto plan = PlanBuilder(people())
-                  .join(teams, "team", "team")
-                  .filter_int("age", [](std::int64_t a) { return a >= 25; })
-                  .group_by("team_name", Aggregate::kSum, "age", "total")
-                  .order_by("total", true)
-                  .limit(10)
-                  .build();
-  const auto expected = Query(people())
-                            .join(teams, "team", "team")
-                            .where_int("age",
-                                       [](std::int64_t a) { return a >= 25; })
-                            .group_by("team_name", Aggregate::kSum, "age",
-                                      "total")
-                            .order_by("total", true)
-                            .limit(10)
-                            .run();
-  expect_tables_equal(plan.run(), expected);
+  run_both(PlanBuilder(people())
+               .join(teams, "team", "team")
+               .filter_int("age", [](std::int64_t a) { return a >= 25; })
+               .group_by("team_name", Aggregate::kSum, "age", "total")
+               .order_by("total", true)
+               .limit(10)
+               .build());
 }
 
 TEST(LsmTable, RoundTripsTable) {
@@ -374,20 +386,15 @@ TEST(LsmTable, StoringAgainReplacesTheTable) {
 TEST(LsmTable, ScanIsByteIdenticalToInMemoryPlan) {
   storage::LsmStore store{storage::LsmOptions{}};
   store_table(store, "people", people());
-  auto lsm_plan = PlanBuilder(store, "people")
-                      .filter_int("age", [](std::int64_t a) { return a > 24; })
-                      .group_by("team", Aggregate::kSum, "age", "total")
-                      .order_by("total", true)
-                      .build();
-  EXPECT_EQ(lsm_plan.describe()[0], "lsm_scan");
-  const auto expected =
-      Query(people())
-          .where_int("age", [](std::int64_t a) { return a > 24; })
-          .group_by("team", Aggregate::kSum, "age", "total")
-          .order_by("total", true)
-          .run();
+  const auto report = [](PlanBuilder b) {
+    return b.filter_int("age", [](std::int64_t a) { return a > 24; })
+        .group_by("team", Aggregate::kSum, "age", "total")
+        .order_by("total", true)
+        .build();
+  };
   ExecStats stats;
-  expect_tables_equal(lsm_plan.run({}, &stats), expected);
+  expect_tables_equal(report(PlanBuilder{store, "people"}).run({}, &stats),
+                      report(PlanBuilder{people()}).interpret());
   EXPECT_EQ(stats.source, "lsm_scan");
   EXPECT_EQ(stats.source_rows, 4u);
 }
@@ -476,19 +483,12 @@ Table random_kv(sim::Rng& rng, std::size_t rows, std::uint64_t distinct) {
   return kv_table(std::move(keys), std::move(values));
 }
 
-/// The engine's result, after checking that the interpreter agrees.
-Table run_both(const Query& q) {
-  Table out = q.run_vectorized();
-  expect_tables_equal(out, q.run());
-  return out;
-}
-
 Table join_kv(const Table& left, const Table& right) {
-  return run_both(Query(left).join(right, "k", "k"));
+  return run_both(PlanBuilder(left).join(right, "k", "k").build());
 }
 
 Table group_kv(const Table& t, Aggregate agg) {
-  return run_both(Query(t).group_by("k", agg, "v", "out"));
+  return run_both(PlanBuilder(t).group_by("k", agg, "v", "out").build());
 }
 
 TEST(HashJoin, EmptyInputs) {

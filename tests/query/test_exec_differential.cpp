@@ -1,7 +1,7 @@
 // Differential fuzzing between the two query execution paths: randomized
 // tables and stage chains must produce byte-identical results from the
-// row-at-a-time reference interpreter (Query::run) and the vectorized
-// push-based engine (exec::compile), across batch sizes and with the scan
+// row-at-a-time reference interpreter (Plan::interpret) and the vectorized
+// push-based engine (Plan::run), across batch sizes and with the scan
 // backed by the LSM store. Seeds are fixed, so failures replay exactly.
 
 #include <gtest/gtest.h>
@@ -67,107 +67,114 @@ Table random_right(sim::Rng& rng, std::size_t rows) {
   return t;
 }
 
-/// Append 1–4 random stages to `q`, returning a column known to remain an
-/// int column of the final schema (for order_by).
-void random_stages(sim::Rng& rng, Query& q) {
+/// Append 1–4 random stages to `b`. Half the int filters are ranges on
+/// `value` or `wide`, with an INT64_MIN or INT64_MAX bound one time in
+/// ten: a range filter takes the SIMD selection path on a dense batch and
+/// the predicate fallback behind another filter.
+void random_stages(sim::Rng& rng, PlanBuilder& b) {
   const std::size_t n_stages = 1 + rng.uniform_index(4);
   bool aggregated = false;
   bool joined = false;
   for (std::size_t s = 0; s < n_stages; ++s) {
     switch (aggregated ? rng.uniform_index(2) + 4 : rng.uniform_index(6)) {
       case 0: {
+        if (rng.chance(0.5)) {
+          const char* column = rng.chance(0.5) ? "value" : "wide";
+          std::int64_t lo =
+              static_cast<std::int64_t>(rng.uniform_index(2001)) - 1000;
+          std::int64_t hi =
+              lo + static_cast<std::int64_t>(rng.uniform_index(1500));
+          if (rng.chance(0.1)) {
+            const std::int64_t extreme =
+                rng.chance(0.5) ? INT64_MIN : INT64_MAX;
+            (rng.chance(0.5) ? lo : hi) = extreme;
+          }
+          b.filter_between(column, lo, hi);
+          break;
+        }
         const std::int64_t cut =
             static_cast<std::int64_t>(rng.uniform_index(2001)) - 1000;
-        q.where_int("value", [cut](std::int64_t v) { return v >= cut; });
+        b.filter_int("value", [cut](std::int64_t v) { return v >= cut; });
         break;
       }
       case 1: {
         const bool keep_red = rng.chance(0.5);
-        q.where_string("tag", [keep_red](const std::string& t) {
+        b.filter_string("tag", [keep_red](const std::string& t) {
           return keep_red ? t == "red" : t > "c";
         });
         break;
       }
       case 2:
         if (!joined) {
-          q.join(random_right(rng, 1 + rng.uniform_index(40)), "key", "key");
+          b.join(random_right(rng, 1 + rng.uniform_index(40)), "key", "key");
           joined = true;
         }
         break;
       case 3: {
         const bool by_tag = rng.chance(0.5);
         const auto agg = static_cast<Aggregate>(rng.uniform_index(4));
-        q.group_by(by_tag ? "tag" : "key", agg, "value", "out");
+        b.group_by(by_tag ? "tag" : "key", agg, "value", "out");
         aggregated = true;
         break;
       }
       case 4:
-        q.order_by(aggregated ? "out" : "value", rng.chance(0.5));
+        b.order_by(aggregated ? "out" : "value", rng.chance(0.5));
         break;
       default:
-        q.limit(rng.uniform_index(30));
+        b.limit(rng.uniform_index(30));
         break;
     }
+  }
+}
+
+/// Runs `plan` at each batch size and checks it against plan.interpret();
+/// a chain the interpreter rejects must be rejected by the engine too.
+void expect_run_matches_interpret(const Plan& plan,
+                                  std::initializer_list<std::size_t> batches,
+                                  const std::string& context) {
+  Table reference;
+  try {
+    reference = plan.interpret();
+  } catch (const std::invalid_argument&) {
+    // The chain referenced a column removed by an earlier stage.
+    EXPECT_THROW(plan.run(), std::invalid_argument) << context;
+    return;
+  }
+  for (const std::size_t bs : batches) {
+    ExecOptions opts;
+    opts.batch_size = bs;
+    expect_tables_equal(plan.run(opts), reference,
+                        context + " batch " + std::to_string(bs));
   }
 }
 
 TEST(Differential, RandomPlansByteIdenticalAcrossBatchSizes) {
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     sim::Rng rng{seed};
-    auto source = random_table(rng, 1 + rng.uniform_index(300));
-    Query q{source};
-    random_stages(rng, q);
-    Table reference;
-    try {
-      reference = q.run();
-    } catch (const std::invalid_argument&) {
-      // Chain referenced a column removed by an earlier stage; both paths
-      // must agree it is an error.
-      EXPECT_THROW(q.run_vectorized(), std::invalid_argument)
-          << "seed " << seed;
-      continue;
-    }
-    for (const std::size_t bs : {1u, 3u, 64u, 1024u}) {
-      expect_tables_equal(q.run_vectorized(bs), reference,
-                          "seed " + std::to_string(seed) + " batch " +
-                              std::to_string(bs));
-    }
+    PlanBuilder b{random_table(rng, 1 + rng.uniform_index(300))};
+    random_stages(rng, b);
+    expect_run_matches_interpret(b.build(), {1, 3, 64, 1024},
+                                 "seed " + std::to_string(seed));
   }
 }
 
 TEST(Differential, LsmBackedScanByteIdentical) {
-  for (std::uint64_t seed = 100; seed < 110; ++seed) {
+  for (std::uint64_t seed = 100; seed < 120; ++seed) {
     sim::Rng rng{seed};
-    auto source = random_table(rng, 1 + rng.uniform_index(200));
+    const auto source = random_table(rng, 1 + rng.uniform_index(200));
     storage::LsmOptions lsm_opts;
     lsm_opts.memtable_bytes = 1 << 12;  // several flushes per table
     storage::LsmStore store{lsm_opts};
     store_table(store, "src", source);
+    // The in-memory oracle: interpret() reads the table back through
+    // load_table, so first pin that to the table stored.
+    expect_tables_equal(load_table(store, "src"), source,
+                        "seed " + std::to_string(seed) + " load_table");
 
-    const std::int64_t cut =
-        static_cast<std::int64_t>(rng.uniform_index(2001)) - 1000;
-    const bool desc = rng.chance(0.5);
-    const auto reference =
-        Query(source)
-            .where_int("value", [cut](std::int64_t v) { return v >= cut; })
-            .group_by("tag", Aggregate::kSum, "value", "total")
-            .order_by("total", desc)
-            .limit(3)
-            .run();
-    auto plan =
-        PlanBuilder(store, "src")
-            .filter_int("value", [cut](std::int64_t v) { return v >= cut; })
-            .group_by("tag", Aggregate::kSum, "value", "total")
-            .order_by("total", desc)
-            .limit(3)
-            .build();
-    for (const std::size_t bs : {7u, 256u}) {
-      ExecOptions opts;
-      opts.batch_size = bs;
-      expect_tables_equal(plan.run(opts), reference,
-                          "seed " + std::to_string(seed) + " batch " +
-                              std::to_string(bs));
-    }
+    PlanBuilder b{store, "src"};
+    random_stages(rng, b);
+    expect_run_matches_interpret(b.build(), {7, 256},
+                                 "seed " + std::to_string(seed));
   }
 }
 
@@ -178,13 +185,15 @@ TEST(Differential, EmptySourceAllStageKinds) {
   empty.add_string_column("tag", {});
   Table right;
   right.add_int_column("key", {1, 2});
-  auto q = Query(empty)
-               .where_int("value", [](std::int64_t) { return true; })
-               .join(right, "key", "key")
-               .group_by("tag", Aggregate::kCount, "value", "n")
-               .order_by("n", true)
-               .limit(10);
-  expect_tables_equal(q.run_vectorized(), q.run(), "empty source");
+  const auto plan =
+      PlanBuilder(empty)
+          .filter_int("value", [](std::int64_t) { return true; })
+          .join(right, "key", "key")
+          .group_by("tag", Aggregate::kCount, "value", "n")
+          .order_by("n", true)
+          .limit(10)
+          .build();
+  expect_tables_equal(plan.run(), plan.interpret(), "empty source");
 }
 
 }  // namespace

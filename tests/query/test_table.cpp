@@ -83,63 +83,60 @@ TEST(Table, ToStringShowsHeaderAndRows) {
 }
 
 TEST(Query, WhereIntFilters) {
-  const auto result = Query(people())
-                          .where_int("age", [](std::int64_t a) { return a > 26; })
-                          .run();
+  const auto result = interpret(
+      people(),
+      {FilterIntStage{"age", [](std::int64_t a) { return a > 26; }}});
   EXPECT_EQ(result.row_count(), 2u);
   EXPECT_EQ(result.strings("name")[0], "ada");
   EXPECT_EQ(result.strings("name")[1], "cyd");
 }
 
 TEST(Query, WhereStringFilters) {
-  const auto result =
-      Query(people())
-          .where_string("name",
-                        [](const std::string& n) { return n < "c"; })
-          .run();
+  const auto result = interpret(
+      people(), {FilterStringStage{
+                    "name", [](const std::string& n) { return n < "c"; }}});
   EXPECT_EQ(result.row_count(), 2u);
 }
 
 TEST(Query, ChainedFiltersCompose) {
   const auto result =
-      Query(people())
-          .where_int("age", [](std::int64_t a) { return a >= 25; })
-          .where_int("team", [](std::int64_t t) { return t == 1; })
-          .run();
+      interpret(people(),
+                {FilterIntStage{"age", [](std::int64_t a) { return a >= 25; }},
+                 FilterIntStage{"team",
+                                [](std::int64_t t) { return t == 1; }}});
   EXPECT_EQ(result.row_count(), 2u);
 }
 
 TEST(Query, ProjectKeepsOnlyNamedColumns) {
-  const auto result =
-      Query(people()).project({"age", "name"}).run();
+  const auto result = interpret(people(), {ProjectStage{{"age", "name"}}});
   EXPECT_EQ(result.column_count(), 2u);
   EXPECT_EQ(result.column_names()[0], "age");
   EXPECT_THROW(result.ints("team"), std::invalid_argument);
 }
 
 TEST(Query, OrderByAscendingAndDescending) {
-  const auto asc = Query(people()).order_by("age").run();
+  const auto asc = interpret(people(), {OrderByStage{"age"}});
   EXPECT_EQ(asc.ints("age").front(), 25);
   EXPECT_EQ(asc.ints("age").back(), 35);
-  const auto desc = Query(people()).order_by("age", true).run();
+  const auto desc = interpret(people(), {OrderByStage{"age", true}});
   EXPECT_EQ(desc.ints("age").front(), 35);
 }
 
 TEST(Query, OrderByIsStable) {
   // bob and dan both have age 25; their relative order must be preserved.
-  const auto result = Query(people()).order_by("age").run();
+  const auto result = interpret(people(), {OrderByStage{"age"}});
   EXPECT_EQ(result.strings("name")[0], "bob");
   EXPECT_EQ(result.strings("name")[1], "dan");
 }
 
 TEST(Query, LimitTruncates) {
-  EXPECT_EQ(Query(people()).limit(2).run().row_count(), 2u);
-  EXPECT_EQ(Query(people()).limit(99).run().row_count(), 4u);
+  EXPECT_EQ(interpret(people(), {LimitStage{2}}).row_count(), 2u);
+  EXPECT_EQ(interpret(people(), {LimitStage{99}}).row_count(), 4u);
 }
 
 TEST(Query, GroupByIntKeySum) {
-  const auto result =
-      Query(people()).group_by("team", Aggregate::kSum, "age", "total").run();
+  const auto result = interpret(
+      people(), {GroupByStage{"team", Aggregate::kSum, "age", "total"}});
   EXPECT_EQ(result.row_count(), 3u);
   // team 1: 30 + 35.
   const auto& teams = result.ints("team");
@@ -154,10 +151,8 @@ TEST(Query, GroupByStringKeyCount) {
   Table t;
   t.add_string_column("word", {"big", "data", "big", "big"});
   t.add_int_column("one", {1, 1, 1, 1});
-  const auto result =
-      Query(std::move(t))
-          .group_by("word", Aggregate::kCount, "one", "n")
-          .run();
+  const auto result = interpret(
+      std::move(t), {GroupByStage{"word", Aggregate::kCount, "one", "n"}});
   EXPECT_EQ(result.row_count(), 2u);
   const auto& words = result.strings("word");
   const auto& counts = result.ints("n");
@@ -167,10 +162,10 @@ TEST(Query, GroupByStringKeyCount) {
 }
 
 TEST(Query, GroupByMinMax) {
-  const auto min_result =
-      Query(people()).group_by("team", Aggregate::kMin, "age", "m").run();
-  const auto max_result =
-      Query(people()).group_by("team", Aggregate::kMax, "age", "m").run();
+  const auto min_result = interpret(
+      people(), {GroupByStage{"team", Aggregate::kMin, "age", "m"}});
+  const auto max_result = interpret(
+      people(), {GroupByStage{"team", Aggregate::kMax, "age", "m"}});
   for (std::size_t i = 0; i < min_result.row_count(); ++i) {
     if (min_result.ints("team")[i] == 1) {
       EXPECT_EQ(min_result.ints("m")[i], 30);
@@ -187,9 +182,12 @@ TEST(Query, GroupByMinMaxHandlesNegativeValues) {
   Table t;
   t.add_int_column("g", {1, 1, 1, 2, 2});
   t.add_int_column("v", {-10, 5, -3, -7, -2});
-  const auto min_r = Query(t).group_by("g", Aggregate::kMin, "v", "m").run();
-  const auto max_r = Query(t).group_by("g", Aggregate::kMax, "v", "m").run();
-  const auto sum_r = Query(t).group_by("g", Aggregate::kSum, "v", "m").run();
+  const auto group = [&t](Aggregate agg) {
+    return interpret(t, {GroupByStage{"g", agg, "v", "m"}});
+  };
+  const auto min_r = group(Aggregate::kMin);
+  const auto max_r = group(Aggregate::kMax);
+  const auto sum_r = group(Aggregate::kSum);
   for (std::size_t i = 0; i < 2; ++i) {
     if (min_r.ints("g")[i] == 1) { EXPECT_EQ(min_r.ints("m")[i], -10); }
     if (min_r.ints("g")[i] == 2) { EXPECT_EQ(min_r.ints("m")[i], -7); }
@@ -205,7 +203,7 @@ TEST(Query, JoinInnerSemantics) {
   teams.add_int_column("team", {1, 2, 9});
   teams.add_string_column("team_name", {"arch", "db", "ghost"});
   const auto result =
-      Query(people()).join(std::move(teams), "team", "team").run();
+      interpret(people(), {JoinStage{std::move(teams), "team", "team"}});
   // ada(1), bob(2), cyd(1) match; dan(3) and ghost(9) do not.
   EXPECT_EQ(result.row_count(), 3u);
   EXPECT_TRUE(result.has_column("team_name"));
@@ -220,18 +218,16 @@ TEST(Query, JoinDuplicateKeysCrossProduct) {
   left.add_int_column("k", {5, 5});
   Table right;
   right.add_int_column("k", {5, 5, 5});
-  const auto result = Query(std::move(left)).join(std::move(right), "k", "k").run();
+  const auto result =
+      interpret(std::move(left), {JoinStage{std::move(right), "k", "k"}});
   EXPECT_EQ(result.row_count(), 6u);
 }
 
 TEST(Query, EmptyResultFlowsThroughPipeline) {
-  const auto result =
-      Query(people())
-          .where_int("age", [](std::int64_t) { return false; })
-          .group_by("team", Aggregate::kSum, "age", "t")
-          .order_by("t")
-          .limit(5)
-          .run();
+  const auto result = interpret(
+      people(), {FilterIntStage{"age", [](std::int64_t) { return false; }},
+                 GroupByStage{"team", Aggregate::kSum, "age", "t"},
+                 OrderByStage{"t"}, LimitStage{5}});
   EXPECT_EQ(result.row_count(), 0u);
 }
 
@@ -242,25 +238,23 @@ TEST(Query, EmptyTableSupportsEveryStageKind) {
   empty.add_string_column("s", {});
   Table right;
   right.add_int_column("k", {1, 2});
-  const auto result =
-      Query(empty)
-          .where_int("v", [](std::int64_t) { return true; })
-          .where_string("s", [](const std::string&) { return true; })
-          .join(right, "k", "k")
-          .group_by("s", Aggregate::kSum, "v", "total")
-          .order_by("total")
-          .limit(3)
-          .project({"s", "total"})
-          .run();
+  const auto result = interpret(
+      empty,
+      {FilterIntStage{"v", [](std::int64_t) { return true; }},
+       FilterStringStage{"s", [](const std::string&) { return true; }},
+       JoinStage{right, "k", "k"},
+       GroupByStage{"s", Aggregate::kSum, "v", "total"},
+       OrderByStage{"total"}, LimitStage{3}, ProjectStage{{"s", "total"}}});
   EXPECT_EQ(result.row_count(), 0u);
   EXPECT_EQ(result.column_names(),
             (std::vector<std::string>{"s", "total"}));
 }
 
 TEST(Query, MissingColumnSurfacesAtRun) {
-  auto q = Query(people()).where_int("salary",
-                                     [](std::int64_t) { return true; });
-  EXPECT_THROW(q.run(), std::invalid_argument);
+  EXPECT_THROW(
+      interpret(people(), {FilterIntStage{
+                              "salary", [](std::int64_t) { return true; }}}),
+      std::invalid_argument);
 }
 
 TEST(Query, FullAnalyticsPipeline) {
@@ -272,14 +266,12 @@ TEST(Query, FullAnalyticsPipeline) {
   items.add_int_column("order_id", {1, 1, 2, 3, 3, 4});
   items.add_int_column("amount", {100, 50, 300, 20, 80, 500});
 
-  const auto result =
-      Query(std::move(orders))
-          .join(std::move(items), "order_id", "order_id")
-          .where_int("amount", [](std::int64_t a) { return a >= 50; })
-          .group_by("customer", Aggregate::kSum, "amount", "revenue")
-          .order_by("revenue", true)
-          .limit(2)
-          .run();
+  const auto result = interpret(
+      std::move(orders),
+      {JoinStage{std::move(items), "order_id", "order_id"},
+       FilterIntStage{"amount", [](std::int64_t a) { return a >= 50; }},
+       GroupByStage{"customer", Aggregate::kSum, "amount", "revenue"},
+       OrderByStage{"revenue", true}, LimitStage{2}});
   ASSERT_EQ(result.row_count(), 2u);
   EXPECT_EQ(result.strings("customer")[0], "core");  // 500
   EXPECT_EQ(result.ints("revenue")[0], 500);
