@@ -48,15 +48,6 @@ constexpr bool kSanitized = false;
 /// memory bandwidth and the sweep measures the machine, not the code.
 constexpr std::size_t kRows = 16384;
 
-std::vector<simd::Isa> reachable_isas() {
-  std::vector<simd::Isa> out{simd::Isa::kScalar};
-  for (const simd::Isa isa :
-       {simd::Isa::kAvx2, simd::Isa::kAvx512, simd::Isa::kNeon}) {
-    if (simd::supported(isa)) out.push_back(isa);
-  }
-  return out;
-}
-
 /// Per-ISA kernel sweep: GRows/s of the selection scan.
 void sweep_isas(bench::Report& report) {
   bench::Aligned<std::int64_t> values{kRows};
@@ -65,7 +56,7 @@ void sweep_isas(bench::Report& report) {
   const int reps = static_cast<int>((1u << 22) / kRows) + 1;
 
   std::printf("  %-8s %14s\n", "isa", "select GR/s");
-  for (const simd::Isa isa : reachable_isas()) {
+  for (const simd::Isa isa : simd::reachable_isas()) {
     const bench::IsaGuard guard{isa};
     const auto& k = simd::kernels();
     volatile std::uint64_t sink = 0;

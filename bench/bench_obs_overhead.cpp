@@ -1,6 +1,6 @@
 // OBS-OVH — proves the observability layer's zero-overhead-when-disabled
 // claim on four hot loops: max-min fair progressive filling (the
-// FlowSimulator::reallocate inner loop), the vectorized query engine's
+// FlowSimulator::solve_subset round loop), the vectorized query engine's
 // batch loop, the WAL record framer, and the dispatched SIMD selection scan.
 // Each loop's shared kernel runs under two telemetry tails — matching where
 // the shipping instrumentation actually sits (after the kernel, never
@@ -81,9 +81,10 @@ struct GuardedSink {
   }
 };
 
-/// Synthetic max-min fair-share instance mirroring FlowSimulator::reallocate:
-/// progressive filling over `flows` flows crossing `links` directed links,
-/// each flow on a fixed 4-link pseudo-random path.
+/// Synthetic max-min fair-share instance mirroring
+/// FlowSimulator::solve_subset: progressive filling over `flows` flows
+/// crossing `links` directed links, each flow on a fixed 4-link
+/// pseudo-random path.
 struct Instance {
   std::vector<double> capacity;           // per link, bits/s
   std::vector<std::array<int, 4>> paths;  // per flow

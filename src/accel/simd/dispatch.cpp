@@ -135,6 +135,14 @@ Isa best_supported() noexcept {
   return Isa::kScalar;
 }
 
+std::vector<Isa> reachable_isas() {
+  std::vector<Isa> out{Isa::kScalar};
+  for (const Isa isa : {Isa::kAvx2, Isa::kAvx512, Isa::kNeon}) {
+    if (supported(isa)) out.push_back(isa);
+  }
+  return out;
+}
+
 const Kernels& kernels() noexcept {
   const Kernels* table = g_active.load(std::memory_order_acquire);
   if (table == nullptr) table = resolve();

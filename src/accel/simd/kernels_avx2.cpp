@@ -1,14 +1,18 @@
-// AVX2 kernel table: 4×int64 lanes. Selection kernels use compare-mask +
-// compress-store (movemask → 8-entry permute LUT); the hash probe is a
-// vertical multiplicative hash + gather loop over the open-addressing slot
-// array. Compiled with -mavx2 -mpopcnt only for this translation unit; the
-// dispatcher never selects this table unless CPUID reports AVX2.
+// AVX2 kernel table: 4×int64 / 4×f64 lanes. Selection kernels use
+// compare-mask + compress-store (movemask → 8-entry permute LUT); the hash
+// probe is a vertical multiplicative hash + gather loop over the
+// open-addressing slot array; the f64 min runs four independent vminpd
+// chains and first_le_f64 tests eight lanes per movemask. Compiled with
+// -mavx2 -mpopcnt only for this translation unit; the dispatcher never
+// selects this table unless CPUID reports AVX2.
 
 #include "accel/simd/simd.hpp"
 
 #if defined(__AVX2__)
 
 #include <immintrin.h>
+
+#include <limits>
 
 namespace rb::accel::simd {
 
@@ -204,9 +208,59 @@ void hash_find_batch_avx2(const std::uint64_t* slot_words, std::uint64_t mask,
   }
 }
 
-constexpr Kernels kAvx2Kernels{Isa::kAvx2, select_between_avx2,
-                               select_greater_avx2, select_less_avx2,
-                               hash_find_batch_avx2};
+double min_f64_avx2(const double* values, std::size_t n) noexcept {
+  const __m256d vinf =
+      _mm256_set1_pd(std::numeric_limits<double>::infinity());
+  __m256d m0 = vinf, m1 = vinf, m2 = vinf, m3 = vinf;
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    m0 = _mm256_min_pd(m0, _mm256_loadu_pd(values + i));
+    m1 = _mm256_min_pd(m1, _mm256_loadu_pd(values + i + 4));
+    m2 = _mm256_min_pd(m2, _mm256_loadu_pd(values + i + 8));
+    m3 = _mm256_min_pd(m3, _mm256_loadu_pd(values + i + 12));
+  }
+  for (; i + 4 <= n; i += 4) {
+    m0 = _mm256_min_pd(m0, _mm256_loadu_pd(values + i));
+  }
+  m0 = _mm256_min_pd(_mm256_min_pd(m0, m1), _mm256_min_pd(m2, m3));
+  __m128d h = _mm_min_pd(_mm256_castpd256_pd128(m0),
+                         _mm256_extractf128_pd(m0, 1));
+  h = _mm_min_sd(h, _mm_unpackhi_pd(h, h));
+  double m = _mm_cvtsd_f64(h);
+  for (; i < n; ++i) m = values[i] < m ? values[i] : m;
+  return m;
+}
+
+std::size_t first_le_f64_avx2(const double* values, std::size_t n,
+                              double threshold) noexcept {
+  const __m256d vt = _mm256_set1_pd(threshold);
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const int bits =
+        _mm256_movemask_pd(
+            _mm256_cmp_pd(_mm256_loadu_pd(values + i), vt, _CMP_LE_OQ)) |
+        (_mm256_movemask_pd(_mm256_cmp_pd(_mm256_loadu_pd(values + i + 4),
+                                          vt, _CMP_LE_OQ))
+         << 4);
+    if (bits != 0) {
+      return i + static_cast<std::size_t>(
+                     __builtin_ctz(static_cast<unsigned>(bits)));
+    }
+  }
+  for (; i < n; ++i) {
+    if (values[i] <= threshold) return i;
+  }
+  return n;
+}
+
+constexpr Kernels kAvx2Kernels{Isa::kAvx2,
+                               select_between_avx2,
+                               select_greater_avx2,
+                               select_less_avx2,
+                               hash_find_batch_avx2,
+                               min_f64_avx2,
+                               first_le_f64_avx2};
+static_assert(complete(kAvx2Kernels));
 
 }  // namespace
 

@@ -1,7 +1,8 @@
-// AVX-512 kernel table: 8×int64 lanes, mask registers, native 64-bit
-// multiply (AVX512DQ) and compress-store (AVX512F+VL) — no permute LUT
-// needed. Compiled with -mavx512f/dq/bw/vl only for this translation unit;
-// the dispatcher requires all four CPUID bits before selecting it.
+// AVX-512 kernel table: 8×int64 / 8×f64 lanes, mask registers, native
+// 64-bit multiply (AVX512DQ) and compress-store (AVX512F+VL) — no permute
+// LUT needed; the f64 kernels finish their tails with masked loads.
+// Compiled with -mavx512f/dq/bw/vl only for this translation unit; the
+// dispatcher requires all four CPUID bits before selecting it.
 
 #include "accel/simd/simd.hpp"
 
@@ -9,6 +10,8 @@
     defined(__AVX512VL__)
 
 #include <immintrin.h>
+
+#include <limits>
 
 // GCC 12's AVX-512 headers route several intrinsics (slli, gather) through
 // _mm512_undefined_epi32, which -Wmaybe-uninitialized flags on inlining.
@@ -190,9 +193,64 @@ void hash_find_batch_avx512(const std::uint64_t* slot_words,
   }
 }
 
-constexpr Kernels kAvx512Kernels{Isa::kAvx512, select_between_avx512,
-                                 select_greater_avx512, select_less_avx512,
-                                 hash_find_batch_avx512};
+/// Lanes [0, r) of an 8-lane mask, for a tail of r < 8 elements.
+inline __mmask8 tail_mask(std::size_t r) noexcept {
+  return static_cast<__mmask8>((1u << r) - 1u);
+}
+
+double min_f64_avx512(const double* values, std::size_t n) noexcept {
+  const __m512d vinf =
+      _mm512_set1_pd(std::numeric_limits<double>::infinity());
+  __m512d m0 = vinf, m1 = vinf, m2 = vinf, m3 = vinf;
+  std::size_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    m0 = _mm512_min_pd(m0, _mm512_loadu_pd(values + i));
+    m1 = _mm512_min_pd(m1, _mm512_loadu_pd(values + i + 8));
+    m2 = _mm512_min_pd(m2, _mm512_loadu_pd(values + i + 16));
+    m3 = _mm512_min_pd(m3, _mm512_loadu_pd(values + i + 24));
+  }
+  for (; i + 8 <= n; i += 8) {
+    m0 = _mm512_min_pd(m0, _mm512_loadu_pd(values + i));
+  }
+  if (i < n) {
+    // Lanes past n load +inf, which never lowers the minimum.
+    m1 = _mm512_min_pd(
+        m1, _mm512_mask_loadu_pd(vinf, tail_mask(n - i), values + i));
+  }
+  return _mm512_reduce_min_pd(
+      _mm512_min_pd(_mm512_min_pd(m0, m1), _mm512_min_pd(m2, m3)));
+}
+
+std::size_t first_le_f64_avx512(const double* values, std::size_t n,
+                                double threshold) noexcept {
+  const __m512d vt = _mm512_set1_pd(threshold);
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    const unsigned bits =
+        static_cast<unsigned>(_mm512_cmp_pd_mask(_mm512_loadu_pd(values + i),
+                                                 vt, _CMP_LE_OQ)) |
+        (static_cast<unsigned>(_mm512_cmp_pd_mask(
+             _mm512_loadu_pd(values + i + 8), vt, _CMP_LE_OQ))
+         << 8);
+    if (bits != 0) return i + static_cast<std::size_t>(__builtin_ctz(bits));
+  }
+  for (; i < n; i += 8) {
+    const __mmask8 lanes = n - i >= 8 ? __mmask8{0xFF} : tail_mask(n - i);
+    const unsigned bits = _mm512_mask_cmp_pd_mask(
+        lanes, _mm512_maskz_loadu_pd(lanes, values + i), vt, _CMP_LE_OQ);
+    if (bits != 0) return i + static_cast<std::size_t>(__builtin_ctz(bits));
+  }
+  return n;
+}
+
+constexpr Kernels kAvx512Kernels{Isa::kAvx512,
+                                 select_between_avx512,
+                                 select_greater_avx512,
+                                 select_less_avx512,
+                                 hash_find_batch_avx512,
+                                 min_f64_avx512,
+                                 first_le_f64_avx512};
+static_assert(complete(kAvx512Kernels));
 
 }  // namespace
 

@@ -2,6 +2,8 @@
 // instructions exist on NEON, so the selection kernels use compare +
 // narrow-to-mask with a predicated two-lane emit, and the hash probe
 // stays scalar (gather-bound; the scalar loop is already optimal there).
+// The max-min solver's f64 kernels forward to scalar as well, until an
+// aarch64 runner can test and time a vector body.
 
 #include "accel/simd/simd.hpp"
 
@@ -85,9 +87,23 @@ void hash_find_batch_neon(const std::uint64_t* slot_words, std::uint64_t mask,
   scalar_kernels().hash_find_batch(slot_words, mask, keys, n, values, found);
 }
 
-constexpr Kernels kNeonKernels{Isa::kNeon, select_between_neon,
-                               select_greater_neon, select_less_neon,
-                               hash_find_batch_neon};
+double min_f64_neon(const double* values, std::size_t n) noexcept {
+  return scalar_kernels().min_f64(values, n);
+}
+
+std::size_t first_le_f64_neon(const double* values, std::size_t n,
+                              double threshold) noexcept {
+  return scalar_kernels().first_le_f64(values, n, threshold);
+}
+
+constexpr Kernels kNeonKernels{Isa::kNeon,
+                               select_between_neon,
+                               select_greater_neon,
+                               select_less_neon,
+                               hash_find_batch_neon,
+                               min_f64_neon,
+                               first_le_f64_neon};
+static_assert(complete(kNeonKernels));
 
 }  // namespace
 

@@ -4,6 +4,8 @@
 
 #include "accel/simd/simd.hpp"
 
+#include <limits>
+
 namespace rb::accel::simd {
 
 namespace {
@@ -66,9 +68,41 @@ void hash_find_batch_scalar(const std::uint64_t* slot_words,
   }
 }
 
-constexpr Kernels kScalarKernels{Isa::kScalar, select_between_scalar,
-                                 select_greater_scalar, select_less_scalar,
-                                 hash_find_batch_scalar};
+double min_f64_scalar(const double* values, std::size_t n) noexcept {
+  // Four independent chains instead of one serial compare chain. Without
+  // NaN and -0.0 the minimum is exact whatever the order, so splitting the
+  // chain changes no result.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  double m0 = kInf, m1 = kInf, m2 = kInf, m3 = kInf;
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    m0 = values[i] < m0 ? values[i] : m0;
+    m1 = values[i + 1] < m1 ? values[i + 1] : m1;
+    m2 = values[i + 2] < m2 ? values[i + 2] : m2;
+    m3 = values[i + 3] < m3 ? values[i + 3] : m3;
+  }
+  for (; i < n; ++i) m0 = values[i] < m0 ? values[i] : m0;
+  m0 = m1 < m0 ? m1 : m0;
+  m2 = m3 < m2 ? m3 : m2;
+  return m2 < m0 ? m2 : m0;
+}
+
+std::size_t first_le_f64_scalar(const double* values, std::size_t n,
+                                double threshold) noexcept {
+  for (std::size_t i = 0; i < n; ++i) {
+    if (values[i] <= threshold) return i;
+  }
+  return n;
+}
+
+constexpr Kernels kScalarKernels{Isa::kScalar,
+                                 select_between_scalar,
+                                 select_greater_scalar,
+                                 select_less_scalar,
+                                 hash_find_batch_scalar,
+                                 min_f64_scalar,
+                                 first_le_f64_scalar};
+static_assert(complete(kScalarKernels));
 
 }  // namespace
 

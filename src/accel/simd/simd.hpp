@@ -1,9 +1,9 @@
 #pragma once
 // Runtime-dispatched SIMD kernel layer for the analytics building blocks
 // (Rec 10: replace "often-required functional building blocks" with tuned
-// implementations). One portable interface — a table of kernel function
-// pointers — backed by per-ISA implementations (AVX2, AVX-512, NEON) with
-// the scalar code as the always-correct fallback.
+// implementations) and the fabric's max-min solver. One portable interface
+// — a table of kernel function pointers — backed by per-ISA implementations
+// (AVX2, AVX-512, NEON) with the scalar code as the always-correct fallback.
 //
 // Dispatch happens once, on first use: CPUID/feature detection picks the
 // widest ISA both the CPU and this build support. The RB_SIMD environment
@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <optional>
 #include <string_view>
+#include <vector>
 
 namespace rb::accel::simd {
 
@@ -43,6 +44,10 @@ bool supported(Isa isa) noexcept;
 
 /// Widest supported level (kScalar when no SIMD unit is usable).
 Isa best_supported() noexcept;
+
+/// Every supported level, kScalar first: the levels a differential test or
+/// a per-ISA bench sweep walks through set_isa().
+std::vector<Isa> reachable_isas();
 
 /// Per-ISA kernel table. All kernels are total functions over their inputs
 /// (n == 0 is legal) and never allocate; callers own every buffer.
@@ -76,7 +81,30 @@ struct Kernels {
   void (*hash_find_batch)(const std::uint64_t* slot_words, std::uint64_t mask,
                           const std::uint64_t* keys, std::size_t n,
                           std::uint64_t* values, std::uint8_t* found) noexcept;
+
+  // The two f64 kernels take no NaN and no -0.0 (threshold included): the
+  // vector min instructions (x86 vminpd, NEON vminq_f64) treat NaN and the
+  // two zeros differently from `v < m ? v : m`, so with either in the input
+  // the ISAs could disagree. The max-min solver's bottleneck shares,
+  // residual / unfrozen >= +0.0 or +inf once saturated, never hold either.
+
+  /// Smallest of values[0, n); +inf for n == 0.
+  double (*min_f64)(const double* values, std::size_t n) noexcept;
+
+  /// The first i with values[i] <= threshold, or n when there is none.
+  std::size_t (*first_le_f64)(const double* values, std::size_t n,
+                              double threshold) noexcept;
 };
+
+/// True when every kernel slot of `k` is filled. Aggregate initialization
+/// null-fills the trailing members a table leaves out, so a table that
+/// forgets a kernel would compile and crash on its first call; each ISA
+/// file static_asserts this on its table.
+constexpr bool complete(const Kernels& k) noexcept {
+  return k.select_between != nullptr && k.select_greater != nullptr &&
+         k.select_less != nullptr && k.hash_find_batch != nullptr &&
+         k.min_f64 != nullptr && k.first_le_f64 != nullptr;
+}
 
 /// The active kernel table. First call resolves it: RB_SIMD override if
 /// set, else best_supported(). Hot paths should cache the reference per

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "accel/simd/simd.hpp"
 #include "obs/log.hpp"
 #include "obs/trace.hpp"
 
@@ -19,6 +20,9 @@ constexpr double kResidualBits = 1e-6;
 // Relative tolerance when matching a link's fair share against the round's
 // bottleneck share during progressive filling.
 constexpr double kShareSlack = 1e-12;
+
+// The share of a saturated link (no unfrozen flow): never a bottleneck.
+constexpr double kUnbounded = std::numeric_limits<double>::infinity();
 
 // kMaxMinIncremental falls back to a full solve when the dirty component
 // exceeds this fraction of the active flows (the closure walk aborts early,
@@ -418,6 +422,8 @@ bool FlowSimulator::try_solve_incremental() {
 
 void FlowSimulator::solve_subset(const std::vector<std::uint32_t>& subset) {
   if (subset.empty()) return;
+  // Fetched per solve, so set_isa() and RB_SIMD reach the next epoch.
+  const accel::simd::Kernels& simd = accel::simd::kernels();
   ++solve_epoch_;
   active_links_.clear();
   for (const std::uint32_t idx : subset) {
@@ -429,40 +435,41 @@ void FlowSimulator::solve_subset(const std::vector<std::uint32_t>& subset) {
         dl.inited = solve_epoch_;
         dl.remaining_cap = topo_->link(static_cast<LinkId>(hop.dlink >> 1)).rate;
         dl.unfrozen = 0;
+        dl.pos = static_cast<std::uint32_t>(active_links_.size());
         active_links_.push_back(hop.dlink);
       }
       ++dl.unfrozen;
     }
   }
-  if (obs::enabled()) gauge_links_ = active_links_;
+  const std::size_t n = active_links_.size();
+  share_.resize(n);
+  double* const share = share_.data();
+  for (std::size_t p = 0; p < n; ++p) {
+    const DirLink& dl = dlinks_[active_links_[p]];
+    share[p] = dl.remaining_cap / dl.unfrozen;
+  }
 
   // Max-min fair: progressive filling over directed link capacities. Each
-  // round finds the bottleneck share, then freezes exactly the flows on
-  // links at that share — only their membership lists are touched, so a
-  // round costs O(live links + flows frozen × path), not O(all flows).
+  // round takes the minimum share as the bottleneck, then walks the links
+  // at that share in active_links_ order and freezes their unfrozen flows.
+  // A freeze rewrites the shares of the links on the frozen flow's path
+  // (+inf once a link has no unfrozen flow left), so each later link is
+  // judged on its share at the moment the walk reaches it: the walk asks
+  // first_le_f64 for the next candidate after every bottleneck it handles
+  // instead of selecting them all up front. A round costs two kernel scans
+  // over contiguous doubles plus O(flows frozen × path).
   std::size_t remaining = subset.size();
   while (remaining > 0) {
-    double best_share = std::numeric_limits<double>::infinity();
-    std::size_t live = 0;
-    for (const std::uint32_t dlink : active_links_) {
-      const DirLink& dl = dlinks_[dlink];
-      if (dl.unfrozen == 0) continue;  // compact out saturated links
-      active_links_[live++] = dlink;
-      const double share = dl.remaining_cap / dl.unfrozen;
-      if (share < best_share) best_share = share;
-    }
-    active_links_.resize(live);
-    if (live == 0) break;  // defensive: every remaining flow has an empty path
+    const double best_share = simd.min_f64(share, n);
+    if (best_share == kUnbounded) break;  // defensive: only empty paths left
     ++astats_.solve_rounds;
 
     const double threshold = best_share * (1 + kShareSlack);
-    for (const std::uint32_t dlink : active_links_) {
-      DirLink& dl = dlinks_[dlink];
-      if (dl.unfrozen == 0) continue;
-      if (dl.remaining_cap / dl.unfrozen > threshold) continue;
+    for (std::size_t p = simd.first_le_f64(share, n, threshold); p < n;
+         p += 1 + simd.first_le_f64(share + p + 1, n - p - 1, threshold)) {
       // Freeze every unfrozen flow crossing this bottleneck at the share.
-      for (std::size_t e = 0; e < dl.flows.size(); ++e) {
-        FlowSlot& s = slots_[dl.flows[e].slot];
+      for (const LinkEntry& entry : dlinks_[active_links_[p]].flows) {
+        FlowSlot& s = slots_[entry.slot];
         if (s.frozen) continue;
         s.frozen = true;
         s.rate = best_share;
@@ -471,6 +478,8 @@ void FlowSimulator::solve_subset(const std::vector<std::uint32_t>& subset) {
           DirLink& on = dlinks_[hop.dlink];
           on.remaining_cap = std::max(0.0, on.remaining_cap - best_share);
           --on.unfrozen;
+          share[on.pos] =
+              on.unfrozen > 0 ? on.remaining_cap / on.unfrozen : kUnbounded;
         }
       }
     }
@@ -497,7 +506,7 @@ void FlowSimulator::solve_equal_share() {
 
 void FlowSimulator::update_link_gauges() {
   auto& registry = obs::Registry::global();
-  for (const std::uint32_t dlink : gauge_links_) {
+  for (const std::uint32_t dlink : active_links_) {
     auto it = link_util_gauges_.find(dlink);
     if (it == link_util_gauges_.end()) {
       const auto link_id = static_cast<LinkId>(dlink >> 1);

@@ -12,7 +12,12 @@
 // lives in a flat slot arena recycled through a free list, per-directed-link
 // state is a dense vector indexed by directed-link index (link_id * 2 + dir),
 // and every directed link keeps the list of flows crossing it so the solver
-// freeze step only touches flows on bottleneck links. Arrivals, departures
+// freeze step only touches flows on bottleneck links. Each solve keeps its
+// links' bottleneck shares in one dense array, rewritten only for the links
+// of a flow that freezes, so a progressive-filling round is two SIMD
+// kernel scans (accel::simd min_f64 and first_le_f64) over contiguous
+// doubles, with the same divisions in the same order as a per-round
+// recompute, hence byte-identical rates on every ISA. Arrivals, departures
 // and reroutes that land on the same simulation timestamp are coalesced into
 // a single reallocation via a zero-delay "realloc pending" event; synchronous
 // queries (current_rate) force the pending solve so callers never observe a
@@ -181,6 +186,7 @@ class FlowSimulator {
     std::vector<LinkEntry> flows;  ///< active flows crossing this direction
     double remaining_cap = 0.0;    ///< solver scratch
     std::int32_t unfrozen = 0;     ///< solver scratch
+    std::uint32_t pos = 0;         ///< solver scratch: index into share_
     std::uint64_t inited = 0;      ///< solve-epoch stamp for scratch validity
     std::uint64_t visit = 0;       ///< dirty-component BFS stamp
     std::uint64_t dirty = 0;       ///< dirty-set membership stamp
@@ -211,7 +217,8 @@ class FlowSimulator {
   void solve_subset(const std::vector<std::uint32_t>& subset);
   void solve_equal_share();
   /// Per-directed-link utilization gauges (allocated/capacity) for the links
-  /// touched by the last solve; only called when obs::enabled().
+  /// touched by the last solve (active_links_); only called when
+  /// obs::enabled().
   void update_link_gauges();
 
   void schedule_next_completion();
@@ -241,10 +248,13 @@ class FlowSimulator {
   std::uint64_t solve_epoch_ = 0;
   std::uint64_t visit_epoch_ = 0;
   // Reusable solver scratch (kept hot across epochs, never shrunk).
+  /// Directed links the current solve touches, in first-touch order.
   std::vector<std::uint32_t> active_links_;
+  /// share_[p]: the bottleneck share remaining_cap / unfrozen of
+  /// active_links_[p], or +inf once the link has no unfrozen flow.
+  std::vector<double> share_;
   std::vector<std::uint32_t> subset_slots_;
   std::vector<std::uint32_t> bfs_stack_;
-  std::vector<std::uint32_t> gauge_links_;
   std::vector<PathHop> path_scratch_;
 
   FlowId next_id_ = 1;

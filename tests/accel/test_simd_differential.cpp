@@ -1,14 +1,16 @@
 // Differential suite for the runtime-dispatched SIMD kernel layer: every
 // kernel in accel/simd is fuzz-compared against its scalar twin across
 // randomized inputs, odd tail lengths (n % lane-width != 0), empty/full
-// selections, int64 boundaries, and HashTable64 keys 0 and 2^63 — under
-// every ISA level this CPU/build can reach via set_isa(). The scalar table
-// is the oracle; any divergence is a kernel bug, not a tolerance issue.
+// selections, int64 boundaries, HashTable64 keys 0 and 2^63, and f64
+// inputs holding +inf, +0.0, ties, subnormal and huge values — under every
+// ISA level this CPU/build can reach via set_isa(). The scalar table is
+// the oracle; any divergence is a kernel bug, not a tolerance issue.
 
 #include "accel/simd/simd.hpp"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -18,37 +20,24 @@
 #include "query/exec/plan.hpp"
 #include "query/table.hpp"
 #include "sim/random.hpp"
+#include "support/isa_guard.hpp"
 
 namespace rb::accel::simd {
 namespace {
 
 constexpr std::int64_t kI64Min = std::numeric_limits<std::int64_t>::min();
 constexpr std::int64_t kI64Max = std::numeric_limits<std::int64_t>::max();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kSubnormal = std::numeric_limits<double>::denorm_min();
+constexpr double kHuge = std::numeric_limits<double>::max();
 
-/// Every ISA reachable on this CPU+build, scalar always first.
-std::vector<Isa> reachable_isas() {
-  std::vector<Isa> out{Isa::kScalar};
-  for (const Isa isa : {Isa::kAvx2, Isa::kAvx512, Isa::kNeon}) {
-    if (supported(isa)) out.push_back(isa);
-  }
-  return out;
-}
+using test::IsaGuard;
 
 /// Sizes straddling every lane-width boundary (AVX2 selects run 8 lanes,
 /// AVX-512 runs 16/32-row blocks, NEON runs 2) plus ragged tails.
 const std::vector<std::size_t> kSizes{0,  1,  2,  3,  7,   8,   9,   15, 16,
                                       17, 31, 32, 33, 63,  64,  65,  100,
                                       127, 128, 129, 255, 256, 257, 1000};
-
-/// Restores the entry ISA when a test body returns or throws.
-class IsaGuard {
- public:
-  IsaGuard() : saved_(active_isa()) {}
-  ~IsaGuard() { set_isa(saved_); }
-
- private:
-  Isa saved_;
-};
 
 std::vector<std::int64_t> random_values(std::size_t n, std::uint64_t seed,
                                         std::int64_t span) {
@@ -159,6 +148,123 @@ TEST(SimdDifferential, SelectGreaterAndLessMatchScalar) {
         gm = k.select_less(values.data(), n, t, got.data());
         ASSERT_EQ(gm, em) << to_string(isa) << " less n=" << n << " t=" << t;
         for (std::size_t i = 0; i < em; ++i) ASSERT_EQ(got[i], expect[i]);
+      }
+    }
+  }
+}
+
+/// Non-negative doubles shaped like the max-min solver's shares: +inf in
+/// about a quarter of the slots, a small pool of values (+0.0, subnormal,
+/// huge) so that ties are common, and spread link-rate-sized shares.
+std::vector<double> random_shares(std::size_t n, std::uint64_t seed) {
+  const double pool[] = {0.0, kSubnormal, 2 * kSubnormal, 1.0, 1.25e9,
+                         1.25e9, kHuge / 2, kHuge};
+  sim::Rng rng{seed};
+  std::vector<double> v(n);
+  for (auto& x : v) {
+    const std::uint64_t roll = rng.uniform_index(8);
+    if (roll < 2) {
+      x = kInf;
+    } else if (roll < 5) {
+      x = pool[rng.uniform_index(std::size(pool))];
+    } else {
+      x = 1e9 / static_cast<double>(1 + rng.uniform_index(64));
+    }
+  }
+  return v;
+}
+
+/// Bitwise equality, so a kernel that returned another zero or NaN fails.
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+TEST(SimdDifferential, MinF64MatchesScalar) {
+  IsaGuard guard;
+  const auto& scalar = scalar_kernels();
+  for (const Isa isa : reachable_isas()) {
+    ASSERT_TRUE(set_isa(isa));
+    const auto& k = kernels();
+    for (const std::size_t n : kSizes) {
+      // All +inf (and n == 0): the minimum is +inf.
+      const std::vector<double> saturated(n, kInf);
+      ASSERT_EQ(bits(k.min_f64(saturated.data(), n)), bits(kInf))
+          << to_string(isa) << " n=" << n;
+      for (std::uint64_t seed = 0; seed < 4; ++seed) {
+        const auto values = random_shares(n, 1000 * seed + n);
+        ASSERT_EQ(bits(k.min_f64(values.data(), n)),
+                  bits(scalar.min_f64(values.data(), n)))
+            << to_string(isa) << " n=" << n << " seed=" << seed;
+      }
+      // The minimum at every position, among +inf and the largest finite
+      // double; the minima include subnormal, +0.0 and huge values.
+      const double minima[] = {1.0, kSubnormal, 0.0, kHuge / 2};
+      for (std::size_t j = 0; j < n; ++j) {
+        std::vector<double> values(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          values[i] = i % 3 == 0 ? kInf : kHuge;
+        }
+        values[j] = minima[j % std::size(minima)];
+        ASSERT_EQ(bits(k.min_f64(values.data(), n)), bits(values[j]))
+            << to_string(isa) << " n=" << n << " j=" << j;
+      }
+    }
+  }
+}
+
+TEST(SimdDifferential, FirstLeF64MatchesScalar) {
+  IsaGuard guard;
+  const auto& scalar = scalar_kernels();
+  for (const Isa isa : reachable_isas()) {
+    ASSERT_TRUE(set_isa(isa));
+    const auto& k = kernels();
+    for (const std::size_t n : kSizes) {
+      // All +inf: no finite threshold matches.
+      const std::vector<double> saturated(n, kInf);
+      for (const double t : {0.0, kSubnormal, 1.0, kHuge}) {
+        ASSERT_EQ(k.first_le_f64(saturated.data(), n, t), n)
+            << to_string(isa) << " n=" << n << " t=" << t;
+      }
+      // Random shares against thresholds equal to +0.0, to elements (with
+      // ties elsewhere in the array), and between elements.
+      for (std::uint64_t seed = 0; seed < 4; ++seed) {
+        const auto values = random_shares(n, 7000 * seed + n);
+        std::vector<double> thresholds{0.0, kSubnormal, 1e9 / 50, 1.25e9,
+                                       kHuge};
+        if (n > 0) {
+          thresholds.push_back(values[n / 2]);
+          thresholds.push_back(values[n - 1]);
+          thresholds.push_back(scalar.min_f64(values.data(), n));
+        }
+        for (const double t : thresholds) {
+          if (t == kInf) continue;
+          for (std::size_t from = 0; from <= n; from += 1 + n / 4) {
+            ASSERT_EQ(k.first_le_f64(values.data() + from, n - from, t),
+                      scalar.first_le_f64(values.data() + from, n - from, t))
+                << to_string(isa) << " n=" << n << " from=" << from
+                << " t=" << t;
+          }
+        }
+      }
+      // The only match at every position: each lane of the first vector,
+      // every block, and the tail. The threshold equals the element.
+      const double matches[] = {1.0, 0.0, kSubnormal, kHuge / 2};
+      for (std::size_t j = 0; j < n; ++j) {
+        std::vector<double> values(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          values[i] = i % 2 == 0 ? kInf : kHuge;
+        }
+        const double t = matches[j % std::size(matches)];
+        values[j] = t;
+        ASSERT_EQ(k.first_le_f64(values.data(), n, t), j)
+            << to_string(isa) << " n=" << n << " j=" << j;
+        // A tie after the match does not move it; below every element,
+        // nothing matches.
+        if (j + 1 < n) values[n - 1] = t;
+        ASSERT_EQ(k.first_le_f64(values.data(), n, t), j)
+            << to_string(isa) << " n=" << n << " tie j=" << j;
+        if (t > 0.0) {
+          ASSERT_EQ(k.first_le_f64(values.data(), n, 0.0), n)
+              << to_string(isa) << " n=" << n << " below j=" << j;
+        }
       }
     }
   }

@@ -1,7 +1,8 @@
 // Allocator fast-path coverage: golden determinism of the arena rewrite,
 // differential testing of the progressive-filling solver against a
-// map-based reference implementation, incremental-vs-full equivalence
-// (including reroutes and cancels), and event-coalescing accounting.
+// map-based reference implementation (both under every reachable SIMD
+// level), incremental-vs-full equivalence (including reroutes and
+// cancels), and event-coalescing accounting.
 
 #include "net/fabric.hpp"
 
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "sim/random.hpp"
+#include "support/isa_guard.hpp"
 
 namespace rb::net {
 namespace {
@@ -41,7 +43,19 @@ struct GoldenHash {
   }
 };
 
-TEST(MaxMinGolden, StaggeredArrivalsByteIdentical) {
+/// Runs `scenario` under every SIMD level this CPU and build can reach and
+/// expects `golden` each time: the solver's kernel scans may not move a
+/// single rate bit on any ISA.
+template <typename Scenario>
+void expect_golden_on_every_isa(std::uint64_t golden, Scenario scenario) {
+  const test::IsaGuard guard;
+  for (const accel::simd::Isa isa : accel::simd::reachable_isas()) {
+    ASSERT_TRUE(accel::simd::set_isa(isa));
+    EXPECT_EQ(scenario(), golden) << accel::simd::to_string(isa);
+  }
+}
+
+std::uint64_t staggered_arrivals_hash() {
   const auto topo = make_leaf_spine(2, 4, 4);
   sim::Simulator sim;
   const Router router{topo};
@@ -67,10 +81,14 @@ TEST(MaxMinGolden, StaggeredArrivalsByteIdentical) {
     });
   }
   sim.run();
-  EXPECT_EQ(gh.h, 0x5449aca23371ea63ULL);
+  return gh.h;
 }
 
-TEST(MaxMinGolden, BurstyFaultyCancellyByteIdentical) {
+TEST(MaxMinGolden, StaggeredArrivalsByteIdentical) {
+  expect_golden_on_every_isa(0x5449aca23371ea63ULL, staggered_arrivals_hash);
+}
+
+std::uint64_t bursty_faulty_cancelly_hash() {
   auto topo = make_fat_tree(4);
   sim::Simulator sim;
   const Router router{topo};
@@ -133,7 +151,68 @@ TEST(MaxMinGolden, BurstyFaultyCancellyByteIdentical) {
   tail.mix(fabric.cancelled_flows());
   tail.mix(fabric.rerouted_flows());
   tail.mix(unroutable);
-  EXPECT_EQ(tail.h, 0x2f1878601c5ee867ULL);
+  return tail.h;
+}
+
+TEST(MaxMinGolden, BurstyFaultyCancellyByteIdentical) {
+  expect_golden_on_every_isa(0x2f1878601c5ee867ULL,
+                             bursty_faulty_cancelly_hash);
+}
+
+/// The cases above stay within 96 directed links. This one runs at the
+/// fabric_churn scale: a k=8 fat tree (up to 768 directed links per solve,
+/// so the solver's scans span many vector blocks), 600 staggered arrivals
+/// and one switch-to-switch link flap while the fabric is loaded. Its hash
+/// was recorded with the solver that recomputed every share in every round.
+std::uint64_t fat_tree8_flap_hash() {
+  auto topo = make_fat_tree(8);
+  sim::Simulator sim;
+  const Router router{topo};
+  FlowSimulator fabric{sim, topo, router};
+  const auto hosts = topo.nodes_of_kind(NodeKind::kHost);
+  std::vector<LinkId> switch_links;
+  for (LinkId id = 0; id < topo.link_count(); ++id) {
+    const Link& link = topo.link(id);
+    if (topo.node(link.a).kind != NodeKind::kHost &&
+        topo.node(link.b).kind != NodeKind::kHost) {
+      switch_links.push_back(id);
+    }
+  }
+  sim::Rng rng{29};
+  GoldenHash gh;
+  for (int i = 0; i < 600; ++i) {
+    const NodeId src = hosts[rng.uniform_index(hosts.size())];
+    NodeId dst = hosts[rng.uniform_index(hosts.size())];
+    while (dst == src) dst = hosts[rng.uniform_index(hosts.size())];
+    const sim::Bytes size = 1'000'000 + rng.uniform_index(4'000'000);
+    sim.schedule_at(i * 10 * sim::kMicrosecond,
+                    [&fabric, &gh, src, dst, size] {
+                      fabric.start_flow(
+                          src, dst, size,
+                          [&gh](const FlowRecord& r) { gh.record(r); });
+                    });
+  }
+  const LinkId flap = switch_links[rng.uniform_index(switch_links.size())];
+  sim.schedule_at(3 * sim::kMillisecond, [&] {
+    topo.set_link_up(flap, false);
+    fabric.handle_topology_change();
+  });
+  sim.schedule_at(5 * sim::kMillisecond, [&] {
+    topo.set_link_up(flap, true);
+    fabric.handle_topology_change();
+  });
+  sim.run();
+  EXPECT_GT(fabric.rerouted_flows(), 0u) << "the flap moved no flow";
+  GoldenHash tail;
+  tail.mix(gh.h);
+  tail.mix(fabric.completed_flows());
+  tail.mix(fabric.failed_flows());
+  tail.mix(fabric.rerouted_flows());
+  return tail.h;
+}
+
+TEST(MaxMinGolden, FatTree8FlapByteIdentical) {
+  expect_golden_on_every_isa(0x759ae5ea4332a2acULL, fat_tree8_flap_hash);
 }
 
 // ---------------------------------------------------------------------------
@@ -213,39 +292,48 @@ std::map<FlowId, double> reference_maxmin(
   return rates;
 }
 
+/// One seeded churn script, checked against the map solver after every op.
+void expect_matches_map_solver(std::uint64_t seed) {
+  const auto topo = make_fat_tree(4);
+  sim::Simulator sim;
+  const Router router{topo};
+  FlowSimulator fabric{sim, topo, router};
+  const auto hosts = topo.nodes_of_kind(NodeKind::kHost);
+  sim::Rng rng{seed};
+  std::map<FlowId, std::vector<std::uint64_t>> paths;
+  std::vector<FlowId> active;
+  for (int op = 0; op < 250; ++op) {
+    if (active.empty() || rng.uniform() < 0.65) {
+      NodeId src = hosts[rng.uniform_index(hosts.size())];
+      NodeId dst = hosts[rng.uniform_index(hosts.size())];
+      while (dst == src) dst = hosts[rng.uniform_index(hosts.size())];
+      const FlowId id = fabric.start_flow(src, dst, 64 * sim::kMiB, {});
+      paths.emplace(id, directed_path(topo, router, id, src, dst));
+      active.push_back(id);
+    } else {
+      const std::size_t pick = rng.uniform_index(active.size());
+      const FlowId id = active[pick];
+      active[pick] = active.back();
+      active.pop_back();
+      ASSERT_TRUE(fabric.cancel_flow(id));
+      paths.erase(id);
+    }
+    const auto expected = reference_maxmin(topo, paths);
+    ASSERT_EQ(expected.size(), paths.size());
+    for (const auto& [id, rate] : expected) {
+      EXPECT_DOUBLE_EQ(fabric.current_rate(id), rate)
+          << accel::simd::to_string(accel::simd::active_isa())
+          << " seed=" << seed << " op=" << op << " flow=" << id;
+    }
+  }
+}
+
 TEST(MaxMinReference, ArenaSolverMatchesMapSolver) {
-  for (const std::uint64_t seed : {101u, 202u, 303u}) {
-    const auto topo = make_fat_tree(4);
-    sim::Simulator sim;
-    const Router router{topo};
-    FlowSimulator fabric{sim, topo, router};
-    const auto hosts = topo.nodes_of_kind(NodeKind::kHost);
-    sim::Rng rng{seed};
-    std::map<FlowId, std::vector<std::uint64_t>> paths;
-    std::vector<FlowId> active;
-    for (int op = 0; op < 250; ++op) {
-      if (active.empty() || rng.uniform() < 0.65) {
-        NodeId src = hosts[rng.uniform_index(hosts.size())];
-        NodeId dst = hosts[rng.uniform_index(hosts.size())];
-        while (dst == src) dst = hosts[rng.uniform_index(hosts.size())];
-        const FlowId id =
-            fabric.start_flow(src, dst, 64 * sim::kMiB, {});
-        paths.emplace(id, directed_path(topo, router, id, src, dst));
-        active.push_back(id);
-      } else {
-        const std::size_t pick = rng.uniform_index(active.size());
-        const FlowId id = active[pick];
-        active[pick] = active.back();
-        active.pop_back();
-        ASSERT_TRUE(fabric.cancel_flow(id));
-        paths.erase(id);
-      }
-      const auto expected = reference_maxmin(topo, paths);
-      ASSERT_EQ(expected.size(), paths.size());
-      for (const auto& [id, rate] : expected) {
-        EXPECT_DOUBLE_EQ(fabric.current_rate(id), rate)
-            << "seed=" << seed << " op=" << op << " flow=" << id;
-      }
+  const test::IsaGuard guard;
+  for (const accel::simd::Isa isa : accel::simd::reachable_isas()) {
+    ASSERT_TRUE(accel::simd::set_isa(isa));
+    for (const std::uint64_t seed : {101u, 202u, 303u}) {
+      expect_matches_map_solver(seed);
     }
   }
 }
