@@ -38,8 +38,6 @@ const char* mode_name(net::RateAllocation alloc) {
   switch (alloc) {
     case net::RateAllocation::kMaxMinFair:
       return "maxmin_full";
-    case net::RateAllocation::kMaxMinIncremental:
-      return "maxmin_incremental";
     case net::RateAllocation::kEqualSharePerLink:
       return "equal_share";
   }
@@ -55,10 +53,9 @@ CaseResult run_case(int k, int n, int churn, bool rack_local,
   const auto hosts = topo.nodes_of_kind(net::NodeKind::kHost);
   sim::Rng rng{17};
   // Rack-local traffic never leaves the edge switch, so the flow/link graph
-  // splits into per-rack components — the regime incremental mode targets.
-  // Uniform random pairs percolate into one component through the core and
-  // mostly hit the fallback path instead. Hosts are contiguous per edge
-  // switch in construction order, k/2 to a rack.
+  // splits into per-rack components; uniform random pairs percolate into one
+  // component through the core. Hosts are contiguous per edge switch in
+  // construction order, k/2 to a rack.
   const std::size_t rack = static_cast<std::size_t>(k / 2);
   auto pick = [&](net::NodeId& src, net::NodeId& dst) {
     if (rack_local) {
@@ -125,10 +122,10 @@ int main(int argc, char** argv) {
   };
   // The ft8_n10000 case is the PR acceptance config: the pre-arena solver
   // is the baseline its ≥5× events/sec target is measured against. The
-  // rack-local ft8 case keeps the fabric large but the traffic partitioned,
-  // so dirty components stay under the incremental-fallback threshold and
-  // the incremental solver actually engages (uniform cases mostly fall
-  // back: everything couples through the core).
+  // rack-local ft8 case keeps the fabric large but the traffic partitioned
+  // into small per-rack components, each needing only a few rounds of its
+  // own: it is the full-solve baseline for a solver that skips the rounds
+  // an epoch's changes cannot reach.
   const std::vector<Case> cases =
       quick ? std::vector<Case>{{4, 500, 200, false}}
             : std::vector<Case>{{4, 2000, 500, false},
@@ -136,7 +133,6 @@ int main(int argc, char** argv) {
                                 {8, 10000, 1000, false}};
   const net::RateAllocation modes[] = {
       net::RateAllocation::kMaxMinFair,
-      net::RateAllocation::kMaxMinIncremental,
       net::RateAllocation::kEqualSharePerLink,
   };
 
@@ -168,10 +164,6 @@ int main(int argc, char** argv) {
       report.metric(key + ".events_per_sec", evps);
       report.metric(key + ".ns_per_flow_event", ns_per_event);
       report.metric(key + ".reallocations", r.stats.reallocations);
-      report.metric(key + ".full_solves", r.stats.full_solves);
-      report.metric(key + ".incremental_solves", r.stats.incremental_solves);
-      report.metric(key + ".incremental_fallbacks",
-                    r.stats.incremental_fallbacks);
       report.metric(key + ".solve_rounds", r.stats.solve_rounds);
       report.metric(key + ".coalesced_events", r.stats.coalesced_events);
       report.metric(key + ".makespan_seconds", r.makespan_s);
@@ -186,8 +178,8 @@ int main(int argc, char** argv) {
     }
   }
   bench::note("flat-arena allocator: one coalesced epoch absorbs each");
-  bench::note("same-timestamp burst; incremental mode re-solves only the");
-  bench::note("dirty flow/link component (falls back on oversized sets).");
+  bench::note("same-timestamp burst, and every max-min epoch solves all");
+  bench::note("active flows (rack-local rows are the full-solve baseline).");
   if (!perf_ok) return 1;
   return 0;
 }

@@ -1,6 +1,6 @@
 // OBS-OVH — proves the observability layer's zero-overhead-when-disabled
 // claim on four hot loops: max-min fair progressive filling (the
-// FlowSimulator::solve_subset round loop), the vectorized query engine's
+// FlowSimulator::solve_maxmin round loop), the vectorized query engine's
 // batch loop, the WAL record framer, and the dispatched SIMD selection scan.
 // Each loop's shared kernel runs under two telemetry tails — matching where
 // the shipping instrumentation actually sits (after the kernel, never
@@ -82,7 +82,7 @@ struct GuardedSink {
 };
 
 /// Synthetic max-min fair-share instance mirroring
-/// FlowSimulator::solve_subset: progressive filling over `flows` flows
+/// FlowSimulator::solve_maxmin: progressive filling over `flows` flows
 /// crossing `links` directed links, each flow on a fixed 4-link
 /// pseudo-random path.
 struct Instance {

@@ -21,6 +21,7 @@
 #include "dataflow/threadpool.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "sim/hash.hpp"
 
 namespace rb::dataflow {
 
@@ -73,42 +74,12 @@ class Context {
 
 namespace detail {
 
-/// RAII wall-clock span for a wide operator. Dataflow runs on real threads
-/// (no simulated clock), so the span's ts axis is wall-derived picoseconds —
-/// see the dual-timestamp note in obs/trace.hpp.
-class StageSpan {
- public:
-  explicit StageSpan(const char* name)
-      : active_{obs::TraceRecorder::global().enabled()},
-        name_{name},
-        start_us_{active_ ? obs::wall_now_us() : 0} {}
-  StageSpan(const StageSpan&) = delete;
-  StageSpan& operator=(const StageSpan&) = delete;
-  ~StageSpan() {
-    if (!active_) return;
-    const std::int64_t dur_us = obs::wall_now_us() - start_us_;
-    obs::TraceRecorder::global().complete(
-        "dataflow.stage", name_, start_us_ * 1'000'000,
-        std::max<std::int64_t>(dur_us, 1) * 1'000'000);
-  }
-
- private:
-  bool active_;
-  const char* name_;
-  std::int64_t start_us_;
-};
-
 /// Key hash used for shuffles; mixes std::hash output so sequential integer
 /// keys spread across partitions.
 template <typename K>
 std::size_t shuffle_hash(const K& key) {
-  std::uint64_t x = static_cast<std::uint64_t>(std::hash<K>{}(key));
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ULL;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebULL;
-  x ^= x >> 31;
-  return static_cast<std::size_t>(x);
+  return static_cast<std::size_t>(
+      sim::mix64(static_cast<std::uint64_t>(std::hash<K>{}(key))));
 }
 
 template <typename T>
@@ -256,7 +227,7 @@ std::vector<std::vector<std::vector<std::pair<K, V>>>> shuffle_buckets(
 template <typename K, typename V, typename F>
 Dataset<std::pair<K, V>> reduce_by_key(const Dataset<std::pair<K, V>>& in,
                                        F combine) {
-  const detail::StageSpan span{"reduce_by_key"};
+  const obs::WallSpan span{"dataflow.stage", "reduce_by_key"};
   Context& ctx = in.context();
   const std::size_t p = in.partition_count();
 
@@ -303,7 +274,7 @@ Dataset<std::pair<K, V>> reduce_by_key(const Dataset<std::pair<K, V>>& in,
 template <typename K, typename V>
 Dataset<std::pair<K, std::vector<V>>> group_by_key(
     const Dataset<std::pair<K, V>>& in) {
-  const detail::StageSpan span{"group_by_key"};
+  const obs::WallSpan span{"dataflow.stage", "group_by_key"};
   Context& ctx = in.context();
   const std::size_t p = in.partition_count();
   auto buckets = shuffle_buckets(in);
@@ -323,7 +294,7 @@ Dataset<std::pair<K, std::vector<V>>> group_by_key(
 template <typename K, typename A, typename B>
 Dataset<std::pair<K, std::pair<A, B>>> join(const Dataset<std::pair<K, A>>& lhs,
                                             const Dataset<std::pair<K, B>>& rhs) {
-  const detail::StageSpan span{"join"};
+  const obs::WallSpan span{"dataflow.stage", "join"};
   Context& ctx = lhs.context();
   if (lhs.partition_count() != rhs.partition_count())
     throw std::invalid_argument{"join: partition counts differ"};
@@ -353,7 +324,7 @@ Dataset<std::pair<K, std::pair<A, B>>> join(const Dataset<std::pair<K, A>>& lhs,
 /// each partition locally. collect() on the result is globally ordered.
 template <typename K, typename V>
 Dataset<std::pair<K, V>> sort_by_key(const Dataset<std::pair<K, V>>& in) {
-  const detail::StageSpan span{"sort_by_key"};
+  const obs::WallSpan span{"dataflow.stage", "sort_by_key"};
   Context& ctx = in.context();
   const std::size_t p = in.partition_count();
 

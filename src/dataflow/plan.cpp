@@ -21,12 +21,6 @@ std::size_t JobGraph::total_tasks() const noexcept {
   return n;
 }
 
-std::vector<std::size_t> JobGraph::topological_order() const {
-  std::vector<std::size_t> order(stages_.size());
-  for (std::size_t i = 0; i < stages_.size(); ++i) order[i] = i;
-  return order;
-}
-
 std::vector<std::size_t> JobGraph::runnable(
     const std::vector<bool>& done) const {
   if (done.size() != stages_.size())

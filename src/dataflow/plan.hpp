@@ -39,10 +39,6 @@ class JobGraph {
 
   std::size_t total_tasks() const noexcept;
 
-  /// Stage indices in a valid topological order (insertion order, since
-  /// deps must precede their dependents).
-  std::vector<std::size_t> topological_order() const;
-
   /// Stages with no unfinished dependency, given a done-mask.
   std::vector<std::size_t> runnable(const std::vector<bool>& done) const;
 

@@ -9,6 +9,7 @@
 #include "accel/simd/simd.hpp"
 #include "obs/log.hpp"
 #include "obs/trace.hpp"
+#include "sim/hash.hpp"
 
 namespace rb::net {
 
@@ -23,12 +24,6 @@ constexpr double kShareSlack = 1e-12;
 
 // The share of a saturated link (no unfrozen flow): never a bottleneck.
 constexpr double kUnbounded = std::numeric_limits<double>::infinity();
-
-// kMaxMinIncremental falls back to a full solve when the dirty component
-// exceeds this fraction of the active flows (the closure walk aborts early,
-// so an oversized component never costs more than the full solve it turns
-// into). Small components always go incremental (floor of 16 flows).
-constexpr std::size_t kIncrementalFloor = 16;
 
 const obs::Logger& net_log() {
   static const obs::Logger logger{"net"};
@@ -123,23 +118,13 @@ void FlowSimulator::unlink_flow(std::uint32_t idx) {
   }
 }
 
-void FlowSimulator::mark_path_dirty(const std::vector<PathHop>& path) {
-  if (allocation_ != RateAllocation::kMaxMinIncremental) return;
-  for (const PathHop& hop : path) {
-    DirLink& dl = dlinks_[hop.dlink];
-    if (dl.dirty == dirty_epoch_) continue;
-    dl.dirty = dirty_epoch_;
-    dirty_links_.push_back(hop.dlink);
-  }
-}
-
 void FlowSimulator::build_path(FlowId id, NodeId src, NodeId dst,
                                std::vector<PathHop>& path,
                                sim::SimTime& latency) const {
   path.clear();
   latency = 0;
   if (src == dst) return;
-  const auto links = router_->path(src, dst, mix64(id));
+  const auto links = router_->path(src, dst, sim::mix64(id));
   path.reserve(links.size());
   NodeId at = src;
   for (const LinkId link_id : links) {
@@ -230,7 +215,6 @@ FlowId FlowSimulator::start_flow(NodeId src, NodeId dst, sim::Bytes size,
   s.causal = causal;
   id_to_slot_.emplace(id, idx);
   link_flow(idx);
-  mark_path_dirty(s.path);
   request_realloc();
   return id;
 }
@@ -245,7 +229,6 @@ bool FlowSimulator::cancel_flow(FlowId id) {
                                           slots_[idx].causal.span_id,
                                           sim_->now());
   }
-  mark_path_dirty(slots_[idx].path);
   unlink_flow(idx);
   release_slot(idx);
   ++cancelled_;
@@ -289,12 +272,10 @@ void FlowSimulator::handle_topology_change() {
     try {
       sim::SimTime latency = 0;
       build_path(id, s.src, s.dst, path_scratch_, latency);
-      mark_path_dirty(s.path);
       unlink_flow(idx);
       s.path.swap(path_scratch_);
       s.latency = latency;
       link_flow(idx);
-      mark_path_dirty(s.path);
       ++rerouted_;
       if (obs::enabled()) {
         NetMetrics::get().rerouted->add();
@@ -362,72 +343,19 @@ void FlowSimulator::solve() {
   ++astats_.reallocations;
   if (allocation_ == RateAllocation::kEqualSharePerLink) {
     solve_equal_share();
-  } else if (allocation_ == RateAllocation::kMaxMinIncremental &&
-             try_solve_incremental()) {
-    // Component solve ran (or provably nothing needed re-solving).
   } else {
-    subset_slots_.clear();
-    for (std::uint32_t i = 0; i < slots_.size(); ++i) {
-      if (slots_[i].id != 0) subset_slots_.push_back(i);
-    }
-    solve_subset(subset_slots_);
-    ++astats_.full_solves;
+    solve_maxmin();
   }
-  dirty_links_.clear();
-  ++dirty_epoch_;
 }
 
-bool FlowSimulator::try_solve_incremental() {
-  if (dirty_links_.empty()) return true;  // rates are already exact
-  const std::size_t limit =
-      std::max<std::size_t>(kIncrementalFloor, active_count_ / 2);
-  // Closure walk over the flow/link bipartite graph: every flow on a dirty
-  // link, every link on such a flow's path, transitively. Progressive
-  // filling decomposes over connected components, so re-solving exactly
-  // this closure (with fresh capacities) reproduces the full solve.
-  ++visit_epoch_;
-  bfs_stack_.assign(dirty_links_.begin(), dirty_links_.end());
-  for (const std::uint32_t dlink : bfs_stack_) {
-    dlinks_[dlink].visit = visit_epoch_;
-  }
-  subset_slots_.clear();
-  while (!bfs_stack_.empty()) {
-    const std::uint32_t dlink = bfs_stack_.back();
-    bfs_stack_.pop_back();
-    for (const LinkEntry& entry : dlinks_[dlink].flows) {
-      FlowSlot& s = slots_[entry.slot];
-      if (s.visit == visit_epoch_) continue;
-      s.visit = visit_epoch_;
-      subset_slots_.push_back(entry.slot);
-      if (subset_slots_.size() > limit) {
-        ++astats_.incremental_fallbacks;
-        return false;  // oversized component: full solve is cheaper
-      }
-      for (const PathHop& hop : s.path) {
-        DirLink& dl = dlinks_[hop.dlink];
-        if (dl.visit != visit_epoch_) {
-          dl.visit = visit_epoch_;
-          bfs_stack_.push_back(hop.dlink);
-        }
-      }
-    }
-  }
-  // An empty closure means the dirty links lost their last flows (pure
-  // departures): no surviving flow shares a link with the change, so every
-  // remaining rate is still the exact max-min allocation.
-  if (!subset_slots_.empty()) solve_subset(subset_slots_);
-  ++astats_.incremental_solves;
-  return true;
-}
-
-void FlowSimulator::solve_subset(const std::vector<std::uint32_t>& subset) {
-  if (subset.empty()) return;
+void FlowSimulator::solve_maxmin() {
+  if (active_count_ == 0) return;
   // Fetched per solve, so set_isa() and RB_SIMD reach the next epoch.
   const accel::simd::Kernels& simd = accel::simd::kernels();
   ++solve_epoch_;
   active_links_.clear();
-  for (const std::uint32_t idx : subset) {
-    FlowSlot& s = slots_[idx];
+  for (FlowSlot& s : slots_) {
+    if (s.id == 0) continue;
     s.frozen = false;
     for (const PathHop& hop : s.path) {
       DirLink& dl = dlinks_[hop.dlink];
@@ -458,7 +386,7 @@ void FlowSimulator::solve_subset(const std::vector<std::uint32_t>& subset) {
   // first_le_f64 for the next candidate after every bottleneck it handles
   // instead of selecting them all up front. A round costs two kernel scans
   // over contiguous doubles plus O(flows frozen × path).
-  std::size_t remaining = subset.size();
+  std::size_t remaining = active_count_;
   while (remaining > 0) {
     const double best_share = simd.min_f64(share, n);
     if (best_share == kUnbounded) break;  // defensive: only empty paths left
@@ -585,7 +513,6 @@ void FlowSimulator::finish_flow(std::uint32_t idx) {
                                           record.finish);
     s.causal = {};
   }
-  mark_path_dirty(s.path);
   unlink_flow(idx);
   release_slot(idx);
   const double fct_s = sim::to_seconds(record.finish - record.start);
@@ -620,7 +547,6 @@ void FlowSimulator::fail_flow(std::uint32_t idx) {
                                           sim_->now());
     s.causal = {};
   }
-  mark_path_dirty(s.path);
   unlink_flow(idx);
   release_slot(idx);
   if (obs::enabled()) {

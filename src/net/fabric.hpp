@@ -21,10 +21,8 @@
 // and reroutes that land on the same simulation timestamp are coalesced into
 // a single reallocation via a zero-delay "realloc pending" event; synchronous
 // queries (current_rate) force the pending solve so callers never observe a
-// stale rate. RateAllocation::kMaxMinIncremental additionally re-solves only
-// the flow/link component(s) reachable from the links whose membership
-// changed, falling back to a full solve when the dirty component grows past
-// a fixed fraction of the active flows.
+// stale rate. Every max-min epoch re-solves all active flows, visiting them
+// in arena slot order.
 //
 // Failures: when the topology's fault state changes (links/switches/hosts
 // going down or coming back), call handle_topology_change(). Every active
@@ -67,26 +65,20 @@ struct FlowRecord {
 using FlowCallback = std::function<void(const FlowRecord&)>;
 
 /// Bandwidth-sharing discipline (the DESIGN.md ablation):
-///  - kMaxMinFair: max-min via progressive filling, full solve per epoch.
-///  - kMaxMinIncremental: same allocation, but single-event changes re-solve
-///    only the affected flow/link component (exact within FP rounding of the
-///    full solve; falls back to a full solve on large dirty sets).
+///  - kMaxMinFair: max-min via progressive filling over every active flow
+///    each epoch (bit-compatible with the pre-arena solver).
 ///  - kEqualSharePerLink: naive per-link equal split — every flow gets
 ///    min over its links of capacity/flows-on-link; feasible but leaves
 ///    bandwidth stranded whenever flows are bottlenecked elsewhere.
 enum class RateAllocation : std::uint8_t {
   kMaxMinFair,
   kEqualSharePerLink,
-  kMaxMinIncremental,
 };
 
 /// Allocator performance counters (all monotone), exposed so benches can
 /// report reallocations/sec and solve-round telemetry.
 struct AllocatorStats {
   std::uint64_t reallocations = 0;       ///< solver epochs actually run
-  std::uint64_t full_solves = 0;         ///< epochs solved over all flows
-  std::uint64_t incremental_solves = 0;  ///< epochs solved on a component
-  std::uint64_t incremental_fallbacks = 0;  ///< dirty set too large → full
   std::uint64_t solve_rounds = 0;        ///< progressive-filling rounds total
   std::uint64_t coalesced_events = 0;    ///< realloc requests merged into a
                                          ///< pending same-timestamp epoch
@@ -165,7 +157,6 @@ class FlowSimulator {
     FlowId id = 0;
     std::uint32_t next_free = kNoSlot;  // free-list link while the slot is free
     bool frozen = false;       // progressive-filling scratch (per-slot flag)
-    std::uint64_t visit = 0;   // dirty-component BFS stamp
     std::vector<PathHop> path;
     FlowCallback on_complete;
     /// Causal span for the flow's lifetime (trace_id 0 = untraced).
@@ -188,8 +179,6 @@ class FlowSimulator {
     std::int32_t unfrozen = 0;     ///< solver scratch
     std::uint32_t pos = 0;         ///< solver scratch: index into share_
     std::uint64_t inited = 0;      ///< solve-epoch stamp for scratch validity
-    std::uint64_t visit = 0;       ///< dirty-component BFS stamp
-    std::uint64_t dirty = 0;       ///< dirty-set membership stamp
   };
 
   // --- arena plumbing ---
@@ -198,7 +187,6 @@ class FlowSimulator {
   void release_slot(std::uint32_t idx);
   void link_flow(std::uint32_t idx);
   void unlink_flow(std::uint32_t idx);
-  void mark_path_dirty(const std::vector<PathHop>& path);
 
   /// Resolve src→dst into directed-link hops; throws NoRouteError.
   void build_path(FlowId id, NodeId src, NodeId dst,
@@ -213,8 +201,8 @@ class FlowSimulator {
   /// Run the pending epoch now (advance, solve, reschedule completion).
   void flush_realloc();
   void solve();
-  bool try_solve_incremental();
-  void solve_subset(const std::vector<std::uint32_t>& subset);
+  /// Max-min progressive filling over every active slot, in slot order.
+  void solve_maxmin();
   void solve_equal_share();
   /// Per-directed-link utilization gauges (allocated/capacity) for the links
   /// touched by the last solve (active_links_); only called when
@@ -239,22 +227,15 @@ class FlowSimulator {
   /// never inside the solver loops.
   std::unordered_map<FlowId, std::uint32_t> id_to_slot_;
 
-  // Dirty-set accumulator for kMaxMinIncremental (stamp-deduped).
-  std::vector<std::uint32_t> dirty_links_;
-  std::uint64_t dirty_epoch_ = 1;
-
   bool realloc_pending_ = false;
   sim::EventHandle realloc_event_;
   std::uint64_t solve_epoch_ = 0;
-  std::uint64_t visit_epoch_ = 0;
   // Reusable solver scratch (kept hot across epochs, never shrunk).
   /// Directed links the current solve touches, in first-touch order.
   std::vector<std::uint32_t> active_links_;
   /// share_[p]: the bottleneck share remaining_cap / unfrozen of
   /// active_links_[p], or +inf once the link has no unfrozen flow.
   std::vector<double> share_;
-  std::vector<std::uint32_t> subset_slots_;
-  std::vector<std::uint32_t> bfs_stack_;
   std::vector<PathHop> path_scratch_;
 
   FlowId next_id_ = 1;

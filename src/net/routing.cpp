@@ -3,19 +3,12 @@
 #include <deque>
 #include <limits>
 
+#include "sim/hash.hpp"
+
 namespace rb::net {
 
 namespace {
 constexpr int kUnreachable = std::numeric_limits<int>::max();
-}
-
-std::uint64_t mix64(std::uint64_t x) noexcept {
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ULL;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebULL;
-  x ^= x >> 31;
-  return x;
 }
 
 Router::Router(const Topology& topo)
@@ -93,7 +86,7 @@ std::vector<LinkId> Router::path(NodeId src, NodeId dst,
     if (options.empty()) throw NoRouteError{"Router::path: no next hop"};
     // Deterministic per-hop ECMP: hash(flow, hop) selects among options.
     const auto idx = static_cast<std::size_t>(
-        mix64(flow_hash ^ (static_cast<std::uint64_t>(hop) << 32)) %
+        sim::mix64(flow_hash ^ (static_cast<std::uint64_t>(hop) << 32)) %
         options.size());
     links.push_back(options[idx].second);
     at = options[idx].first;

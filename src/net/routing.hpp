@@ -57,7 +57,4 @@ class Router {
   mutable std::uint64_t epoch_ = 0;
 };
 
-/// Stateless 64-bit mix (splitmix64 finalizer) used for ECMP hashing.
-std::uint64_t mix64(std::uint64_t x) noexcept;
-
 }  // namespace rb::net

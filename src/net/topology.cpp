@@ -131,24 +131,6 @@ std::size_t Topology::degraded_nodes() const noexcept {
   return n;
 }
 
-std::size_t Topology::degraded_links() const noexcept {
-  std::size_t n = 0;
-  for (const double f : link_slow_) n += f > 1.0 ? 1 : 0;
-  return n;
-}
-
-std::size_t Topology::down_nodes() const noexcept {
-  std::size_t n = 0;
-  for (const bool up : node_up_) n += up ? 0 : 1;
-  return n;
-}
-
-std::size_t Topology::down_links() const noexcept {
-  std::size_t n = 0;
-  for (const bool up : link_up_) n += up ? 0 : 1;
-  return n;
-}
-
 std::size_t Topology::switch_ports() const noexcept {
   std::size_t ports = 0;
   for (const auto& link : links_) {

@@ -139,10 +139,7 @@ class Topology {
   /// changes state.
   std::uint64_t state_epoch() const noexcept { return epoch_; }
 
-  std::size_t down_nodes() const noexcept;
-  std::size_t down_links() const noexcept;
   std::size_t degraded_nodes() const noexcept;
-  std::size_t degraded_links() const noexcept;
 
  private:
   std::vector<NodeInfo> nodes_;

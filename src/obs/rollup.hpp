@@ -62,7 +62,6 @@ class WindowedSeries {
 
   Kind kind() const noexcept { return kind_; }
   std::int64_t window() const noexcept { return window_; }
-  std::size_t window_count() const noexcept { return buckets_.size(); }
 
   /// Dense snapshot from the first to the last touched window; windows with
   /// no observations appear with count 0 (a gap in a counter series means

@@ -16,6 +16,14 @@ std::int64_t wall_now_us() noexcept {
   return duration_cast<microseconds>(steady_clock::now() - epoch).count();
 }
 
+WallSpan::~WallSpan() {
+  if (!active_) return;
+  const std::int64_t dur_us = wall_now_us() - start_us_;
+  TraceRecorder::global().complete(
+      category_, name_, start_us_ * 1'000'000,
+      std::max<std::int64_t>(dur_us, 1) * 1'000'000, std::move(args_));
+}
+
 TraceArg trace_arg(std::string key, std::string value) {
   return TraceArg{std::move(key), std::move(value), true};
 }

@@ -26,6 +26,7 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"  // for the shared enabled-flag idiom
@@ -109,6 +110,31 @@ class TraceRecorder {
 
 /// Wall clock in microseconds since an arbitrary process-local epoch.
 std::int64_t wall_now_us() noexcept;
+
+/// RAII span for real (not simulated) work such as LSM flushes or dataflow
+/// stages. Its destructor records a complete event whose ts and dur are
+/// wall-clock microseconds expressed in picoseconds (dur at least 1 µs).
+/// With the recorder off it reads no clock and records nothing.
+class WallSpan {
+ public:
+  WallSpan(const char* category, const char* name,
+           std::vector<TraceArg> args = {})
+      : active_{TraceRecorder::global().enabled()},
+        category_{category},
+        name_{name},
+        args_{std::move(args)},
+        start_us_{active_ ? wall_now_us() : 0} {}
+  WallSpan(const WallSpan&) = delete;
+  WallSpan& operator=(const WallSpan&) = delete;
+  ~WallSpan();
+
+ private:
+  bool active_;
+  const char* category_;
+  const char* name_;
+  std::vector<TraceArg> args_;
+  std::int64_t start_us_;
+};
 
 /// Format helper for numeric trace args.
 TraceArg trace_arg(std::string key, std::string value);

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "obs/context.hpp"
+#include "sim/hash.hpp"
 
 namespace rb::serve {
 
@@ -15,11 +16,9 @@ namespace {
 
 constexpr sim::Bytes kHeaderBytes = 64;  // request/response framing
 
+/// One splitmix64 step from `x`.
 std::uint64_t mix(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
+  return sim::mix64(x + sim::kSplitMixGamma);
 }
 
 }  // namespace

@@ -3,35 +3,17 @@
 #include <stdexcept>
 #include <string>
 
+#include "sim/hash.hpp"
+
 namespace rb::serve {
 
 namespace {
 
-/// FNV-1a with a murmur-style finalizer (same recipe as the LSM bloom
-/// hashes; local so serve does not depend on another module's internals).
-std::uint64_t hash_bytes(std::string_view data, std::uint64_t salt) noexcept {
-  std::uint64_t h = 0xcbf29ce484222325ULL ^ salt;
-  for (const char c : data) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  h ^= h >> 33;
-  h *= 0xff51afd7ed558ccdULL;
-  h ^= h >> 33;
-  return h;
-}
-
-/// splitmix64 finalizer for vnode positions.
-std::uint64_t mix(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
+/// One splitmix64 step from the (node, vnode) pair.
 std::uint64_t vnode_position(ReplicaId node, std::size_t vnode) noexcept {
-  return mix((static_cast<std::uint64_t>(node) << 20) ^
-             static_cast<std::uint64_t>(vnode));
+  return sim::mix64(((static_cast<std::uint64_t>(node) << 20) ^
+                     static_cast<std::uint64_t>(vnode)) +
+                    sim::kSplitMixGamma);
 }
 
 }  // namespace
@@ -85,7 +67,7 @@ bool HashRing::contains(ReplicaId id) const noexcept {
 }
 
 std::uint64_t HashRing::key_position(std::string_view key) noexcept {
-  return hash_bytes(key, 0x5e7f1a9bd3c24e68ULL);
+  return sim::fnv1a64(key, 0x5e7f1a9bd3c24e68ULL);
 }
 
 Placement HashRing::replicas(std::string_view key, std::size_t r) const {

@@ -49,7 +49,6 @@ class HashRing {
   bool contains(ReplicaId id) const noexcept;
 
   std::size_t node_count() const noexcept { return nodes_.size(); }
-  std::size_t vnode_count() const noexcept { return ring_.size(); }
   std::size_t vnodes_per_node() const noexcept { return vnodes_; }
 
   /// The key's shard and its first min(r, node_count) distinct owners,

@@ -82,58 +82,4 @@ StatSummary PercentileTracker::summary() const {
   return s;
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_{lo}, hi_{hi}, counts_(buckets, 0) {
-  if (!(hi > lo)) throw std::invalid_argument{"Histogram: hi must exceed lo"};
-  if (buckets == 0) throw std::invalid_argument{"Histogram: need >= 1 bucket"};
-}
-
-void Histogram::add(double x) noexcept {
-  const double t = (x - lo_) / (hi_ - lo_);
-  auto idx = static_cast<std::ptrdiff_t>(t * static_cast<double>(counts_.size()));
-  idx = std::clamp<std::ptrdiff_t>(idx, 0,
-                                   static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::bucket_low(std::size_t i) const {
-  if (i >= counts_.size()) throw std::out_of_range{"Histogram::bucket_low"};
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-                   static_cast<double>(counts_.size());
-}
-
-std::string Histogram::ascii(std::size_t width) const {
-  std::uint64_t peak = 1;
-  for (auto c : counts_) peak = std::max(peak, c);
-  std::string out;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const auto bar =
-        static_cast<std::size_t>(static_cast<double>(counts_[i]) /
-                                 static_cast<double>(peak) *
-                                 static_cast<double>(width));
-    out += std::to_string(bucket_low(i));
-    out += " | ";
-    out.append(bar, '#');
-    out += '\n';
-  }
-  return out;
-}
-
-void TimeWeightedStat::update(SimTime now, double value) {
-  if (now < last_time_)
-    throw std::invalid_argument{"TimeWeightedStat: time went backwards"};
-  weighted_sum_ += value_ * static_cast<double>(now - last_time_);
-  observed_ += now - last_time_;
-  last_time_ = now;
-  value_ = value;
-}
-
-double TimeWeightedStat::average(SimTime now) const {
-  const double tail = value_ * static_cast<double>(now - last_time_);
-  const SimTime span = observed_ + (now - last_time_);
-  if (span <= 0) return value_;
-  return (weighted_sum_ + tail) / static_cast<double>(span);
-}
-
 }  // namespace rb::sim

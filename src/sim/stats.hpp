@@ -2,11 +2,7 @@
 // Streaming statistics used by simulators and benchmark harnesses.
 
 #include <cstddef>
-#include <cstdint>
-#include <string>
 #include <vector>
-
-#include "sim/units.hpp"
 
 namespace rb::sim {
 
@@ -84,50 +80,6 @@ class PercentileTracker {
  private:
   mutable std::vector<double> samples_;
   mutable bool sorted_ = false;
-};
-
-/// Fixed-width linear histogram over [lo, hi); out-of-range values clamp
-/// into the edge buckets. Used for reporting distributions in benches.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x) noexcept;
-  std::size_t bucket_count() const noexcept { return counts_.size(); }
-  std::uint64_t bucket(std::size_t i) const { return counts_.at(i); }
-  double bucket_low(std::size_t i) const;
-  std::uint64_t total() const noexcept { return total_; }
-
-  /// Render a compact ASCII bar chart (for bench output).
-  std::string ascii(std::size_t width = 40) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-};
-
-/// Time-weighted average of a piecewise-constant signal (e.g. queue length,
-/// utilization) over simulated time.
-class TimeWeightedStat {
- public:
-  explicit TimeWeightedStat(SimTime start = 0) : last_time_{start} {}
-
-  /// Record that the signal changed to `value` at time `now`.
-  /// `now` must be non-decreasing across calls.
-  void update(SimTime now, double value);
-
-  /// Average over [start, now]; closes the last segment at `now`.
-  double average(SimTime now) const;
-
-  double current() const noexcept { return value_; }
-
- private:
-  SimTime last_time_;
-  double value_ = 0.0;
-  double weighted_sum_ = 0.0;
-  SimTime observed_ = 0;
 };
 
 }  // namespace rb::sim

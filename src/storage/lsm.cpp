@@ -9,6 +9,7 @@
 #include "obs/context.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "sim/hash.hpp"
 #include "storage/device.hpp"
 #include "storage/manifest.hpp"
 #include "storage/recovery.hpp"
@@ -44,45 +45,6 @@ struct StorageMetrics {
   }
 };
 
-/// RAII wall-clock span for flush/compaction/recovery work. The LSM runs in
-/// real time (no simulated clock), so the ts axis is wall-derived
-/// picoseconds.
-class StorageSpan {
- public:
-  StorageSpan(const char* name, std::vector<obs::TraceArg> args)
-      : active_{obs::TraceRecorder::global().enabled()},
-        name_{name},
-        args_{std::move(args)},
-        start_us_{active_ ? obs::wall_now_us() : 0} {}
-  StorageSpan(const StorageSpan&) = delete;
-  StorageSpan& operator=(const StorageSpan&) = delete;
-  ~StorageSpan() {
-    if (!active_) return;
-    const std::int64_t dur_us = obs::wall_now_us() - start_us_;
-    obs::TraceRecorder::global().complete(
-        "storage.lsm", name_, start_us_ * 1'000'000,
-        std::max<std::int64_t>(dur_us, 1) * 1'000'000, std::move(args_));
-  }
-
- private:
-  bool active_;
-  const char* name_;
-  std::vector<obs::TraceArg> args_;
-  std::int64_t start_us_;
-};
-
-std::uint64_t hash_key(std::string_view key, std::uint64_t salt) {
-  std::uint64_t h = 0xcbf29ce484222325ULL ^ salt;
-  for (const char c : key) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  h ^= h >> 33;
-  h *= 0xff51afd7ed558ccdULL;
-  h ^= h >> 33;
-  return h;
-}
-
 }  // namespace
 
 BloomFilter::BloomFilter(std::size_t expected_keys) {
@@ -92,8 +54,8 @@ BloomFilter::BloomFilter(std::size_t expected_keys) {
 }
 
 void BloomFilter::insert(std::string_view key) {
-  const std::uint64_t h1 = hash_key(key, 0x9e3779b97f4a7c15ULL);
-  const std::uint64_t h2 = hash_key(key, 0xbf58476d1ce4e5b9ULL);
+  const std::uint64_t h1 = sim::fnv1a64(key, 0x9e3779b97f4a7c15ULL);
+  const std::uint64_t h2 = sim::fnv1a64(key, 0xbf58476d1ce4e5b9ULL);
   const std::uint64_t mask = bit_count() - 1;
   for (int k = 0; k < 4; ++k) {
     const std::uint64_t bit = (h1 + static_cast<std::uint64_t>(k) * h2) & mask;
@@ -102,8 +64,8 @@ void BloomFilter::insert(std::string_view key) {
 }
 
 bool BloomFilter::may_contain(std::string_view key) const {
-  const std::uint64_t h1 = hash_key(key, 0x9e3779b97f4a7c15ULL);
-  const std::uint64_t h2 = hash_key(key, 0xbf58476d1ce4e5b9ULL);
+  const std::uint64_t h1 = sim::fnv1a64(key, 0x9e3779b97f4a7c15ULL);
+  const std::uint64_t h2 = sim::fnv1a64(key, 0xbf58476d1ce4e5b9ULL);
   const std::uint64_t mask = bit_count() - 1;
   for (int k = 0; k < 4; ++k) {
     const std::uint64_t bit = (h1 + static_cast<std::uint64_t>(k) * h2) & mask;
@@ -178,7 +140,7 @@ LsmStore::LsmStore(LsmOptions options) : options_{options} {
 LsmStore::LsmStore(LsmOptions options, Device& device) : options_{options} {
   options_.validate();
   durable_ = std::make_unique<Durable>(device);
-  const StorageSpan span{"open", {}};
+  const obs::WallSpan span{"storage.lsm", "open"};
   auto existing = read_manifest(device);
   if (!existing.has_value()) {
     // Fresh device (or one that died before its first manifest landed — no
@@ -459,8 +421,8 @@ std::size_t LsmStore::size() const {
 
 void LsmStore::flush() {
   if (memtable_.empty()) return;
-  const StorageSpan span{
-      "flush",
+  const obs::WallSpan span{
+      "storage.lsm", "flush",
       {obs::trace_arg("entries",
                       static_cast<std::uint64_t>(memtable_.size()))}};
   std::vector<SsTable::Entry> entries;
@@ -517,8 +479,8 @@ void LsmStore::compact(std::size_t level) {
   if (level >= levels_.size()) return;
   if (levels_[level].size() < options_.runs_per_level) return;
   const bool last_level = level + 1 >= options_.max_levels;
-  const StorageSpan span{
-      "compact",
+  const obs::WallSpan span{
+      "storage.lsm", "compact",
       {obs::trace_arg("level", static_cast<std::uint64_t>(level)),
        obs::trace_arg("runs",
                       static_cast<std::uint64_t>(levels_[level].size()))}};
@@ -586,7 +548,7 @@ void LsmStore::compact(std::size_t level) {
 
 ScrubReport LsmStore::scrub() const {
   if (!durable_) return ScrubReport{};
-  const StorageSpan span{"scrub", {}};
+  const obs::WallSpan span{"storage.lsm", "scrub"};
   ScrubReport report = scrub_device(durable_->device);
   ++stats_.scrubs;
   stats_.scrub_corruptions += report.corruptions();

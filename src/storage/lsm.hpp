@@ -88,8 +88,6 @@ class SsTable {
 
   const std::vector<Entry>& entries() const noexcept { return entries_; }
   std::size_t size_bytes() const noexcept { return bytes_; }
-  const std::string& min_key() const noexcept { return entries_.front().key; }
-  const std::string& max_key() const noexcept { return entries_.back().key; }
 
  private:
   std::vector<Entry> entries_;

@@ -11,6 +11,7 @@
 #include "net/fabric.hpp"
 #include "net/routing.hpp"
 #include "net/topology.hpp"
+#include "sim/hash.hpp"
 #include "sim/simulator.hpp"
 
 namespace rb {
@@ -97,7 +98,7 @@ TEST(FlowRecovery, MidFlightRerouteOntoSurvivingPath) {
                       last = r;
                       finished = true;
                     });
-  const auto taken = router.path(d.src, d.dst, net::mix64(1));
+  const auto taken = router.path(d.src, d.dst, sim::mix64(1));
   // Kill the first link of the path it chose, mid-transfer; repair later.
   faults::FaultPlan plan;
   plan.add_link_outage(taken[0], sim::from_seconds(0.05),

@@ -1,8 +1,8 @@
 // Allocator fast-path coverage: golden determinism of the arena rewrite,
 // differential testing of the progressive-filling solver against a
-// map-based reference implementation (both under every reachable SIMD
-// level), incremental-vs-full equivalence (including reroutes and
-// cancels), and event-coalescing accounting.
+// map-based reference implementation on fat-tree(4) and fat-tree(8), under
+// uniform and rack-local traffic (both under every reachable SIMD level),
+// reroute freshness, and event-coalescing accounting.
 
 #include "net/fabric.hpp"
 
@@ -13,8 +13,10 @@
 #include <cstdint>
 #include <map>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "sim/hash.hpp"
 #include "sim/random.hpp"
 #include "support/isa_guard.hpp"
 
@@ -43,16 +45,24 @@ struct GoldenHash {
   }
 };
 
-/// Runs `scenario` under every SIMD level this CPU and build can reach and
-/// expects `golden` each time: the solver's kernel scans may not move a
-/// single rate bit on any ISA.
-template <typename Scenario>
-void expect_golden_on_every_isa(std::uint64_t golden, Scenario scenario) {
+/// Runs `body` under every SIMD level this CPU and build can reach.
+template <typename Body>
+void on_every_isa(Body body) {
   const test::IsaGuard guard;
   for (const accel::simd::Isa isa : accel::simd::reachable_isas()) {
     ASSERT_TRUE(accel::simd::set_isa(isa));
-    EXPECT_EQ(scenario(), golden) << accel::simd::to_string(isa);
+    body();
   }
+}
+
+/// Expects `golden` from `scenario` on every ISA: the solver's kernel scans
+/// may not move a single rate bit on any of them.
+template <typename Scenario>
+void expect_golden_on_every_isa(std::uint64_t golden, Scenario scenario) {
+  on_every_isa([&] {
+    EXPECT_EQ(scenario(), golden)
+        << accel::simd::to_string(accel::simd::active_isa());
+  });
 }
 
 std::uint64_t staggered_arrivals_hash() {
@@ -227,7 +237,7 @@ std::vector<std::uint64_t> directed_path(const Topology& topo,
                                          NodeId src, NodeId dst) {
   std::vector<std::uint64_t> dpath;
   NodeId at = src;
-  for (const LinkId link_id : router.path(src, dst, mix64(id))) {
+  for (const LinkId link_id : router.path(src, dst, sim::mix64(id))) {
     const Link& link = topo.link(link_id);
     const std::uint64_t dir = (link.a == at) ? 0 : 1;
     dpath.push_back((static_cast<std::uint64_t>(link_id) << 1) | dir);
@@ -292,9 +302,34 @@ std::map<FlowId, double> reference_maxmin(
   return rates;
 }
 
-/// One seeded churn script, checked against the map solver after every op.
-void expect_matches_map_solver(std::uint64_t seed) {
-  const auto topo = make_fat_tree(4);
+/// Where a churn script's flows go. Uniform pairs mostly cross the core, so
+/// the flow/link graph is one component. Rack-local pairs stay under the
+/// source's edge switch, so the graph splits into many small components.
+enum class Traffic { kUniform, kRackLocal };
+
+std::pair<NodeId, NodeId> pick_pair(const Topology& topo,
+                                    const std::vector<NodeId>& hosts,
+                                    Traffic traffic, sim::Rng& rng) {
+  const NodeId src = hosts[rng.uniform_index(hosts.size())];
+  if (traffic == Traffic::kRackLocal) {
+    std::vector<NodeId> mates;
+    for (const auto& [peer, link] :
+         topo.adjacency(topo.adjacency(src).front().first)) {
+      if (peer != src && topo.node(peer).kind == NodeKind::kHost) {
+        mates.push_back(peer);
+      }
+    }
+    return {src, mates[rng.uniform_index(mates.size())]};
+  }
+  NodeId dst = hosts[rng.uniform_index(hosts.size())];
+  while (dst == src) dst = hosts[rng.uniform_index(hosts.size())];
+  return {src, dst};
+}
+
+/// One seeded churn script of `ops` starts and cancels on `topo`, checked
+/// against the map solver after every op.
+void expect_matches_map_solver(const Topology& topo, Traffic traffic,
+                               std::uint64_t seed, int ops) {
   sim::Simulator sim;
   const Router router{topo};
   FlowSimulator fabric{sim, topo, router};
@@ -302,11 +337,9 @@ void expect_matches_map_solver(std::uint64_t seed) {
   sim::Rng rng{seed};
   std::map<FlowId, std::vector<std::uint64_t>> paths;
   std::vector<FlowId> active;
-  for (int op = 0; op < 250; ++op) {
+  for (int op = 0; op < ops; ++op) {
     if (active.empty() || rng.uniform() < 0.65) {
-      NodeId src = hosts[rng.uniform_index(hosts.size())];
-      NodeId dst = hosts[rng.uniform_index(hosts.size())];
-      while (dst == src) dst = hosts[rng.uniform_index(hosts.size())];
+      const auto [src, dst] = pick_pair(topo, hosts, traffic, rng);
       const FlowId id = fabric.start_flow(src, dst, 64 * sim::kMiB, {});
       paths.emplace(id, directed_path(topo, router, id, src, dst));
       active.push_back(id);
@@ -329,138 +362,29 @@ void expect_matches_map_solver(std::uint64_t seed) {
 }
 
 TEST(MaxMinReference, ArenaSolverMatchesMapSolver) {
-  const test::IsaGuard guard;
-  for (const accel::simd::Isa isa : accel::simd::reachable_isas()) {
-    ASSERT_TRUE(accel::simd::set_isa(isa));
+  const auto topo = make_fat_tree(4);
+  on_every_isa([&] {
     for (const std::uint64_t seed : {101u, 202u, 303u}) {
-      expect_matches_map_solver(seed);
+      expect_matches_map_solver(topo, Traffic::kUniform, seed, 250);
     }
-  }
+  });
 }
 
-// ---------------------------------------------------------------------------
-// Incremental mode: must match the full solve within 1e-9 relative error
-// across randomized arrival/departure/reroute sequences.
-// ---------------------------------------------------------------------------
-
-/// Drives two FlowSimulators (full + incremental) through the same operation
-/// script and asserts their rates agree after every step.
-TEST(MaxMinIncremental, MatchesFullAcrossChurnAndFaults) {
-  for (const std::uint64_t seed : {5u, 17u, 91u}) {
-    auto topo_full = make_fat_tree(4);
-    auto topo_inc = make_fat_tree(4);
-    sim::Simulator sim_full, sim_inc;
-    const Router router_full{topo_full}, router_inc{topo_inc};
-    FlowSimulator full{sim_full, topo_full, router_full,
-                       RateAllocation::kMaxMinFair};
-    FlowSimulator inc{sim_inc, topo_inc, router_inc,
-                      RateAllocation::kMaxMinIncremental};
-    const auto hosts = topo_full.nodes_of_kind(NodeKind::kHost);
-    const auto n_links = topo_full.link_count();
-    sim::Rng rng{seed};
-    std::vector<FlowId> active;  // ids are identical in both sims
-    std::vector<LinkId> downed;
-    for (int op = 0; op < 300; ++op) {
-      const double roll = rng.uniform();
-      if (active.empty() || roll < 0.55) {
-        NodeId src = hosts[rng.uniform_index(hosts.size())];
-        NodeId dst = hosts[rng.uniform_index(hosts.size())];
-        while (dst == src) dst = hosts[rng.uniform_index(hosts.size())];
-        const sim::Bytes size = 1 * sim::kMiB + rng.uniform_index(sim::kMiB);
-        FlowId fid = 0, iid = 0;
-        try {
-          fid = full.start_flow(src, dst, size, {});
-        } catch (const NoRouteError&) {
-          EXPECT_THROW(inc.start_flow(src, dst, size, {}), NoRouteError);
-          continue;
-        }
-        iid = inc.start_flow(src, dst, size, {});
-        ASSERT_EQ(fid, iid);
-        active.push_back(fid);
-      } else if (roll < 0.80) {
-        const std::size_t pick = rng.uniform_index(active.size());
-        const FlowId id = active[pick];
-        active[pick] = active.back();
-        active.pop_back();
-        ASSERT_EQ(full.cancel_flow(id), inc.cancel_flow(id));
-      } else if (roll < 0.92 || downed.empty()) {
-        // Take a random link down; reroute or fail affected flows.
-        const LinkId link = static_cast<LinkId>(rng.uniform_index(n_links));
-        if (!topo_full.link_up(link)) continue;
-        topo_full.set_link_up(link, false);
-        topo_inc.set_link_up(link, false);
-        downed.push_back(link);
-        full.handle_topology_change();
-        inc.handle_topology_change();
-      } else {
-        const std::size_t pick = rng.uniform_index(downed.size());
-        const LinkId link = downed[pick];
-        downed[pick] = downed.back();
-        downed.pop_back();
-        topo_full.set_link_up(link, true);
-        topo_inc.set_link_up(link, true);
-        full.handle_topology_change();
-        inc.handle_topology_change();
-      }
-      // Failures prune the same ids in both sims (path liveness is
-      // rate-independent); re-derive the surviving set from `full`.
-      ASSERT_EQ(full.active_flows(), inc.active_flows());
-      std::vector<FlowId> survivors;
-      for (const FlowId id : active) {
-        double r_full = -1.0;
-        try {
-          r_full = full.current_rate(id);
-        } catch (const std::invalid_argument&) {
-          EXPECT_THROW(inc.current_rate(id), std::invalid_argument);
-          continue;
-        }
-        survivors.push_back(id);
-        const double r_inc = inc.current_rate(id);
-        EXPECT_NEAR(r_inc, r_full, 1e-9 * r_full)
-            << "seed=" << seed << " op=" << op << " flow=" << id;
-      }
-      active = std::move(survivors);
-    }
-    // The incremental path must actually have been exercised.
-    EXPECT_GT(inc.allocator_stats().incremental_solves, 0u);
-  }
+/// Up to 182 flows across 561 of fat-tree(8)'s 768 directed links: the
+/// solver's first_le_f64 walk spans many vector blocks, and most flows
+/// couple through the core.
+TEST(MaxMinReference, FatTree8UniformMatchesMapSolver) {
+  const auto topo = make_fat_tree(8);
+  on_every_isa(
+      [&] { expect_matches_map_solver(topo, Traffic::kUniform, 404, 600); });
 }
 
-TEST(MaxMinIncremental, CompletionTimesMatchFullOverTime) {
-  std::map<FlowId, sim::SimTime> fct_full, fct_inc;
-  auto run = [](RateAllocation alloc, std::map<FlowId, sim::SimTime>& out) {
-    const auto topo = make_leaf_spine(2, 4, 4);
-    sim::Simulator sim;
-    const Router router{topo};
-    FlowSimulator fabric{sim, topo, router, alloc};
-    const auto hosts = topo.nodes_of_kind(NodeKind::kHost);
-    sim::Rng rng{23};
-    for (int i = 0; i < 150; ++i) {
-      NodeId src = hosts[rng.uniform_index(hosts.size())];
-      NodeId dst = hosts[rng.uniform_index(hosts.size())];
-      while (dst == src) dst = hosts[rng.uniform_index(hosts.size())];
-      const sim::Bytes size = 500'000 + rng.uniform_index(6'000'000);
-      sim.schedule_at(i * 40 * sim::kMicrosecond,
-                      [&fabric, &out, src, dst, size] {
-                        fabric.start_flow(src, dst, size,
-                                          [&out](const FlowRecord& r) {
-                                            out[r.id] = r.finish;
-                                          });
-                      });
-    }
-    sim.run();
-  };
-  run(RateAllocation::kMaxMinFair, fct_full);
-  run(RateAllocation::kMaxMinIncremental, fct_inc);
-  ASSERT_EQ(fct_full.size(), fct_inc.size());
-  for (const auto& [id, finish] : fct_full) {
-    ASSERT_TRUE(fct_inc.count(id));
-    const double tol =
-        std::max(2.0, 1e-9 * static_cast<double>(finish));  // picoseconds
-    EXPECT_NEAR(static_cast<double>(fct_inc[id]),
-                static_cast<double>(finish), tol)
-        << "flow " << id;
-  }
+/// 32 racks of 4 hosts: many small independent components, whose
+/// bottlenecks freeze side by side in the rounds they share.
+TEST(MaxMinReference, FatTree8RackLocalMatchesMapSolver) {
+  const auto topo = make_fat_tree(8);
+  on_every_isa(
+      [&] { expect_matches_map_solver(topo, Traffic::kRackLocal, 505, 600); });
 }
 
 // ---------------------------------------------------------------------------
@@ -547,25 +471,6 @@ TEST(MaxMinCoalescing, ShuffleStartsUnderSingleEpoch) {
   // 30 arrivals coalesced into one epoch; 29 requests absorbed.
   EXPECT_EQ(fabric.allocator_stats().coalesced_events,
             static_cast<std::uint64_t>(n - 1));
-}
-
-TEST(MaxMinIncremental, StatsExposeFallbacks) {
-  // A dense all-to-all on a star is one giant component: incremental mode
-  // must fall back to full solves rather than walk the whole closure.
-  const auto topo = make_star(10);
-  sim::Simulator sim;
-  const Router router{topo};
-  FlowSimulator fabric{sim, topo, router,
-                       RateAllocation::kMaxMinIncremental};
-  const auto hosts = topo.nodes_of_kind(NodeKind::kHost);
-  for (const NodeId src : hosts)
-    for (const NodeId dst : hosts)
-      if (src != dst) fabric.start_flow(src, dst, 4 * sim::kMiB);
-  sim.run();
-  const auto& st = fabric.allocator_stats();
-  EXPECT_EQ(fabric.completed_flows(), 90u);
-  EXPECT_EQ(st.full_solves + st.incremental_solves, st.reallocations);
-  EXPECT_GT(st.incremental_fallbacks, 0u);
 }
 
 }  // namespace

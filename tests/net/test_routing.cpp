@@ -4,6 +4,8 @@
 
 #include <set>
 
+#include "sim/hash.hpp"
+
 namespace rb::net {
 namespace {
 
@@ -73,7 +75,7 @@ TEST(Router, EcmpSpreadsAcrossCores) {
   const NodeId dst = hosts.back();
   std::set<std::vector<LinkId>> distinct;
   for (std::uint64_t flow = 0; flow < 64; ++flow) {
-    distinct.insert(router.path(src, dst, mix64(flow)));
+    distinct.insert(router.path(src, dst, sim::mix64(flow)));
   }
   EXPECT_GT(distinct.size(), 4u);
 }

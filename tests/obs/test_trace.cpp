@@ -79,7 +79,9 @@ TEST(TraceRecorder, ChromeJsonRoundTrips) {
     names.insert(e.at("name").string);
     EXPECT_TRUE(e.contains("args"));
     EXPECT_TRUE(e.at("args").contains("wall_us"));
-    if (ph == "b" || ph == "e") EXPECT_TRUE(e.contains("id"));
+    if (ph == "b" || ph == "e") {
+      EXPECT_TRUE(e.contains("id"));
+    }
   }
   EXPECT_EQ(data, 4u);
   EXPECT_EQ(meta, 2u);  // two category tracks -> two thread_name records

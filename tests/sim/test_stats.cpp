@@ -115,47 +115,5 @@ TEST(PercentileTracker, InterleavedAddAndQuery) {
   EXPECT_DOUBLE_EQ(t.p50(), 20.0);
 }
 
-TEST(Histogram, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
-TEST(Histogram, BucketsAndClamping) {
-  Histogram h{0.0, 10.0, 10};
-  h.add(0.5);   // bucket 0
-  h.add(9.5);   // bucket 9
-  h.add(-5.0);  // clamps to 0
-  h.add(50.0);  // clamps to 9
-  EXPECT_EQ(h.bucket(0), 2u);
-  EXPECT_EQ(h.bucket(9), 2u);
-  EXPECT_EQ(h.total(), 4u);
-}
-
-TEST(Histogram, BucketLowBoundaries) {
-  Histogram h{0.0, 100.0, 4};
-  EXPECT_DOUBLE_EQ(h.bucket_low(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bucket_low(2), 50.0);
-  EXPECT_THROW(h.bucket_low(4), std::out_of_range);
-}
-
-TEST(TimeWeightedStat, ConstantSignal) {
-  TimeWeightedStat s;
-  s.update(0, 5.0);
-  EXPECT_DOUBLE_EQ(s.average(10 * kSecond), 5.0);
-}
-
-TEST(TimeWeightedStat, StepSignal) {
-  TimeWeightedStat s;
-  s.update(0, 0.0);
-  s.update(5 * kSecond, 10.0);  // 0 for first 5s, 10 for next 5s
-  EXPECT_DOUBLE_EQ(s.average(10 * kSecond), 5.0);
-}
-
-TEST(TimeWeightedStat, RejectsTimeTravel) {
-  TimeWeightedStat s;
-  s.update(10 * kSecond, 1.0);
-  EXPECT_THROW(s.update(5 * kSecond, 2.0), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace rb::sim
