@@ -1,9 +1,7 @@
 #include "accel/graph.hpp"
 
 #include <algorithm>
-#include <deque>
-#include <limits>
-#include <numeric>
+#include <cmath>
 #include <stdexcept>
 
 namespace rb::accel {
@@ -85,53 +83,6 @@ PageRankResult pagerank(const CsrGraph& graph, double d, int max_iters,
     if (delta < tol) break;
   }
   return result;
-}
-
-std::vector<std::uint32_t> bfs_levels(const CsrGraph& graph,
-                                      std::uint32_t source) {
-  const std::uint32_t v = graph.num_vertices();
-  if (source >= v) throw std::invalid_argument{"bfs_levels: bad source"};
-  constexpr auto kUnreached = std::numeric_limits<std::uint32_t>::max();
-  std::vector<std::uint32_t> level(v, kUnreached);
-  level[source] = 0;
-  std::deque<std::uint32_t> frontier{source};
-  while (!frontier.empty()) {
-    const auto u = frontier.front();
-    frontier.pop_front();
-    for (const auto w : graph.neighbors(u)) {
-      if (level[w] == kUnreached) {
-        level[w] = level[u] + 1;
-        frontier.push_back(w);
-      }
-    }
-  }
-  return level;
-}
-
-std::vector<std::uint32_t> connected_components(
-    std::span<const GraphEdge> edges, std::uint32_t vertices) {
-  const std::uint32_t v = infer_vertices(edges, vertices);
-  // Union-find with path halving and union by label minimum so the final
-  // label is the smallest vertex id in the component.
-  std::vector<std::uint32_t> parent(v);
-  std::iota(parent.begin(), parent.end(), 0u);
-  const auto find = [&parent](std::uint32_t x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
-    }
-    return x;
-  };
-  for (const auto& e : edges) {
-    if (e.src >= v || e.dst >= v)
-      throw std::invalid_argument{"connected_components: endpoint range"};
-    const auto a = find(e.src);
-    const auto b = find(e.dst);
-    if (a != b) parent[std::max(a, b)] = std::min(a, b);
-  }
-  std::vector<std::uint32_t> label(v);
-  for (std::uint32_t u = 0; u < v; ++u) label[u] = find(u);
-  return label;
 }
 
 }  // namespace rb::accel

@@ -1,8 +1,7 @@
 #pragma once
 // Graph-processing building blocks (Rec 10; the benchmark suite's graph
-// workload). CSR adjacency built from an edge list, plus the three kernels
-// every Big Data graph stack ships: PageRank (power iteration), BFS levels,
-// and connected components (label propagation on the undirected view).
+// workload): CSR adjacency built from an edge list, and PageRank by power
+// iteration.
 
 #include <cstdint>
 #include <span>
@@ -53,15 +52,5 @@ struct PageRankResult {
 /// mass redistributed uniformly. Stops at `max_iters` or L1 delta < `tol`.
 PageRankResult pagerank(const CsrGraph& graph, double d = 0.85,
                         int max_iters = 50, double tol = 1e-8);
-
-/// BFS hop distance from `source` (UINT32_MAX for unreachable), following
-/// directed edges.
-std::vector<std::uint32_t> bfs_levels(const CsrGraph& graph,
-                                      std::uint32_t source);
-
-/// Connected components of the *undirected* view; returns a component label
-/// per vertex (the smallest vertex id in the component).
-std::vector<std::uint32_t> connected_components(
-    std::span<const GraphEdge> edges, std::uint32_t vertices = 0);
 
 }  // namespace rb::accel

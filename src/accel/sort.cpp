@@ -1,7 +1,6 @@
 #include "accel/sort.hpp"
 
-#include <algorithm>
-#include <queue>
+#include <utility>
 
 namespace rb::accel {
 
@@ -35,52 +34,6 @@ void radix_sort(std::vector<std::uint64_t>& keys) {
     std::swap(src, dst);
   }
   if (src != &keys) keys = *src;
-}
-
-void parallel_sort(std::vector<std::uint64_t>& keys,
-                   dataflow::ThreadPool& pool) {
-  const std::size_t n = keys.size();
-  if (n < 4096) {
-    std::sort(keys.begin(), keys.end());
-    return;
-  }
-  const std::size_t chunks = std::min<std::size_t>(pool.size(), 64);
-  const std::size_t chunk_size = (n + chunks - 1) / chunks;
-  std::vector<std::pair<std::size_t, std::size_t>> ranges;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t lo = c * chunk_size;
-    const std::size_t hi = std::min(n, lo + chunk_size);
-    if (lo < hi) ranges.emplace_back(lo, hi);
-  }
-  pool.parallel_for(ranges.size(), [&](std::size_t i) {
-    std::sort(keys.begin() + static_cast<std::ptrdiff_t>(ranges[i].first),
-              keys.begin() + static_cast<std::ptrdiff_t>(ranges[i].second));
-  });
-
-  // k-way merge of the sorted runs.
-  struct Cursor {
-    std::size_t at;
-    std::size_t end;
-  };
-  const auto greater = [&keys](const Cursor& a, const Cursor& b) {
-    return keys[a.at] > keys[b.at];
-  };
-  std::priority_queue<Cursor, std::vector<Cursor>, decltype(greater)> heap{
-      greater};
-  for (const auto& [lo, hi] : ranges) heap.push(Cursor{lo, hi});
-  std::vector<std::uint64_t> out;
-  out.reserve(n);
-  while (!heap.empty()) {
-    Cursor c = heap.top();
-    heap.pop();
-    out.push_back(keys[c.at]);
-    if (++c.at < c.end) heap.push(c);
-  }
-  keys = std::move(out);
-}
-
-bool is_sorted(std::span<const std::uint64_t> keys) noexcept {
-  return std::is_sorted(keys.begin(), keys.end());
 }
 
 }  // namespace rb::accel

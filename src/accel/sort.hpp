@@ -1,25 +1,13 @@
 #pragma once
-// Sort building block (Rec 10): LSD radix sort for 64-bit keys plus a
-// thread-pooled parallel sort (chunk sort + k-way merge). Sorting shows up
-// in every shuffle and in the "terasort"-style suite entry.
+// Sort building block (Rec 10): LSD radix sort for 64-bit keys. Sorting
+// shows up in every shuffle and in the "terasort"-style suite entry.
 
 #include <cstdint>
-#include <span>
 #include <vector>
-
-#include "dataflow/threadpool.hpp"
 
 namespace rb::accel {
 
 /// In-place LSD radix sort (8 bits/pass, 8 passes) — stable, O(n) memory.
 void radix_sort(std::vector<std::uint64_t>& keys);
-
-/// Parallel sort using `pool`: split into chunks, std::sort each, k-way
-/// merge. Deterministic output (full ordering).
-void parallel_sort(std::vector<std::uint64_t>& keys,
-                   dataflow::ThreadPool& pool);
-
-/// True if `keys` is non-decreasing.
-bool is_sorted(std::span<const std::uint64_t> keys) noexcept;
 
 }  // namespace rb::accel

@@ -29,29 +29,9 @@ std::vector<std::string_view> tokenize(std::string_view text) {
   return tokens;
 }
 
-std::unordered_map<std::string, std::uint64_t> ngram_counts(
-    const std::vector<std::string_view>& tokens, std::size_t n) {
-  if (n == 0) throw std::invalid_argument{"ngram_counts: n must be >= 1"};
-  std::unordered_map<std::string, std::uint64_t> counts;
-  if (tokens.size() < n) return counts;
-  for (std::size_t i = 0; i + n <= tokens.size(); ++i) {
-    std::string gram;
-    for (std::size_t j = 0; j < n; ++j) {
-      if (j > 0) gram += ' ';
-      for (const char c : tokens[i + j]) {
-        gram += (c >= 'A' && c <= 'Z') ? static_cast<char>(c - 'A' + 'a') : c;
-      }
-    }
-    ++counts[gram];
-  }
-  return counts;
-}
-
-PatternMatcher::PatternMatcher(const std::vector<std::string>& patterns)
-    : patterns_{patterns.size()} {
+PatternMatcher::PatternMatcher(const std::vector<std::string>& patterns) {
   nodes_.emplace_back();  // root
-  for (std::uint32_t p = 0; p < patterns.size(); ++p) {
-    const auto& pattern = patterns[p];
+  for (const auto& pattern : patterns) {
     if (pattern.empty())
       throw std::invalid_argument{"PatternMatcher: empty pattern"};
     std::int32_t at = 0;
@@ -64,7 +44,7 @@ PatternMatcher::PatternMatcher(const std::vector<std::string>& patterns)
       }
       at = nodes_[static_cast<std::size_t>(at)].next[c];
     }
-    nodes_[static_cast<std::size_t>(at)].output.push_back(p);
+    ++nodes_[static_cast<std::size_t>(at)].hits;
   }
   // BFS to build failure links and convert to a full goto automaton.
   std::deque<std::int32_t> queue;
@@ -81,8 +61,7 @@ PatternMatcher::PatternMatcher(const std::vector<std::string>& patterns)
     const std::int32_t u = queue.front();
     queue.pop_front();
     auto& node = nodes_[static_cast<std::size_t>(u)];
-    const auto& fail_out = nodes_[static_cast<std::size_t>(node.fail)].output;
-    node.output.insert(node.output.end(), fail_out.begin(), fail_out.end());
+    node.hits += nodes_[static_cast<std::size_t>(node.fail)].hits;
     for (int c = 0; c < 256; ++c) {
       auto& v = nodes_[static_cast<std::size_t>(u)].next[static_cast<std::size_t>(c)];
       const std::int32_t f =
@@ -98,29 +77,15 @@ PatternMatcher::PatternMatcher(const std::vector<std::string>& patterns)
   }
 }
 
-template <typename Visit>
-void PatternMatcher::scan(std::string_view text, Visit visit) const {
+std::uint64_t PatternMatcher::count_matches(std::string_view text) const {
+  std::uint64_t n = 0;
   std::int32_t at = 0;
   for (const char ch : text) {
     at = nodes_[static_cast<std::size_t>(at)]
              .next[static_cast<unsigned char>(ch)];
-    for (const auto p : nodes_[static_cast<std::size_t>(at)].output) {
-      visit(p);
-    }
+    n += nodes_[static_cast<std::size_t>(at)].hits;
   }
-}
-
-std::uint64_t PatternMatcher::count_matches(std::string_view text) const {
-  std::uint64_t n = 0;
-  scan(text, [&n](std::uint32_t) { ++n; });
   return n;
-}
-
-std::vector<std::uint64_t> PatternMatcher::match_histogram(
-    std::string_view text) const {
-  std::vector<std::uint64_t> hist(patterns_, 0);
-  scan(text, [&hist](std::uint32_t p) { ++hist[p]; });
-  return hist;
 }
 
 }  // namespace rb::accel

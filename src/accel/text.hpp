@@ -1,25 +1,20 @@
 #pragma once
 // Text/NLP building blocks (Sec IV.C.1: the shift "towards data analysis
 // libraries and APIs targeting Machine Learning (ML) and Natural Language
-// Processing (NLP)"). Tokenization, n-gram counting and multi-pattern
-// substring search — the scan-heavy preprocessing every NLP pipeline runs.
+// Processing (NLP)"). Tokenization and multi-pattern substring search —
+// the scan-heavy preprocessing every NLP pipeline runs.
 
 #include <array>
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace rb::accel {
 
-/// Split on non-alphanumeric characters, lower-casing ASCII letters.
-/// Views point into `text`, which must outlive them.
+/// Split on non-alphanumeric characters. Views point into `text`, which
+/// must outlive them.
 std::vector<std::string_view> tokenize(std::string_view text);
-
-/// Count word n-grams (space-joined) of order `n` over `tokens`.
-std::unordered_map<std::string, std::uint64_t> ngram_counts(
-    const std::vector<std::string_view>& tokens, std::size_t n);
 
 /// Multi-pattern substring matcher (Aho-Corasick automaton).
 /// Build once, scan many documents — the "DPI / log grep" building block.
@@ -30,23 +25,15 @@ class PatternMatcher {
   /// Total number of pattern occurrences in `text` (overlaps counted).
   std::uint64_t count_matches(std::string_view text) const;
 
-  /// Per-pattern hit counts, indexed like the constructor's vector.
-  std::vector<std::uint64_t> match_histogram(std::string_view text) const;
-
-  std::size_t pattern_count() const noexcept { return patterns_; }
-
  private:
   struct Node {
     std::array<std::int32_t, 256> next;
     std::int32_t fail = 0;
-    std::vector<std::uint32_t> output;  // pattern indices ending here
+    std::uint32_t hits = 0;  // patterns ending here, via failure links too
     Node() { next.fill(-1); }
   };
-  template <typename Visit>
-  void scan(std::string_view text, Visit visit) const;
 
   std::vector<Node> nodes_;
-  std::size_t patterns_ = 0;
 };
 
 }  // namespace rb::accel

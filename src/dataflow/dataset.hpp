@@ -3,13 +3,13 @@
 // MapReduce/Spark/Flink collections the roadmap discusses (Sec IV.C).
 //
 // A Dataset<T> is a set of partitions executed in parallel on a ThreadPool.
-// Narrow operators (map/filter/flat_map) run partition-local; wide operators
-// (reduce_by_key, group_by_key, join, sort_by_key) perform a hash-partitioned
-// shuffle, exactly the structure whose network cost the fabric simulator
-// studies at the cluster level. Execution is eager; metrics (rows and bytes
+// Narrow operators (map/filter) run partition-local; the wide operators
+// (reduce_by_key, join) perform a hash-partitioned shuffle, exactly the
+// structure whose network cost the fabric simulator studies at the cluster
+// level. Grouping and aggregation over columns belong to the query engine
+// (exec::GroupAggregate). Execution is eager; metrics (rows and bytes
 // shuffled) accumulate in the Context so benches can report them.
 
-#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <functional>
@@ -82,11 +82,6 @@ std::size_t shuffle_hash(const K& key) {
       sim::mix64(static_cast<std::uint64_t>(std::hash<K>{}(key))));
 }
 
-template <typename T>
-struct is_pair : std::false_type {};
-template <typename A, typename B>
-struct is_pair<std::pair<A, B>> : std::true_type {};
-
 }  // namespace detail
 
 template <typename T>
@@ -142,26 +137,6 @@ class Dataset {
     return Dataset{*ctx_, std::move(out)};
   }
 
-  /// fn returns a container of R for each input element.
-  template <typename F,
-            typename C = std::invoke_result_t<F, const T&>,
-            typename R = typename C::value_type>
-  Dataset<R> flat_map(F fn) const {
-    std::vector<std::vector<R>> out(partitions_.size());
-    ctx_->pool().parallel_for(partitions_.size(), [&](std::size_t i) {
-      for (const auto& v : partitions_[i]) {
-        for (auto& r : fn(v)) out[i].push_back(std::move(r));
-      }
-    });
-    return Dataset<R>{*ctx_, std::move(out)};
-  }
-
-  /// Attach a key: produces a pair dataset for the wide operators below.
-  template <typename F, typename K = std::invoke_result_t<F, const T&>>
-  Dataset<std::pair<K, T>> key_by(F fn) const {
-    return map([fn](const T& v) { return std::make_pair(fn(v), v); });
-  }
-
   /// --- Actions ---
 
   std::vector<T> collect() const {
@@ -172,8 +147,6 @@ class Dataset {
     }
     return out;
   }
-
-  std::size_t count() const noexcept { return size(); }
 
   /// Parallel fold: fn(Acc, const T&) -> Acc per partition, then
   /// merge(Acc, Acc) -> Acc across partitions (associative).
@@ -204,7 +177,8 @@ class Dataset {
 /// --- Wide (shuffle) operators on pair datasets ---
 
 /// Hash-partition each input partition's pairs into P buckets by key.
-/// Returns buckets[input][target]. The building block of every shuffle.
+/// Returns buckets[input][target]. join shuffles both sides through it;
+/// reduce_by_key shuffles its map-side-combined pairs instead.
 template <typename K, typename V>
 std::vector<std::vector<std::vector<std::pair<K, V>>>> shuffle_buckets(
     const Dataset<std::pair<K, V>>& in) {
@@ -270,26 +244,6 @@ Dataset<std::pair<K, V>> reduce_by_key(const Dataset<std::pair<K, V>>& in,
   return Dataset<std::pair<K, V>>{ctx, std::move(out)};
 }
 
-/// Group all values per key.
-template <typename K, typename V>
-Dataset<std::pair<K, std::vector<V>>> group_by_key(
-    const Dataset<std::pair<K, V>>& in) {
-  const obs::WallSpan span{"dataflow.stage", "group_by_key"};
-  Context& ctx = in.context();
-  const std::size_t p = in.partition_count();
-  auto buckets = shuffle_buckets(in);
-  std::vector<std::vector<std::pair<K, std::vector<V>>>> out(p);
-  ctx.pool().parallel_for(p, [&](std::size_t t) {
-    std::unordered_map<K, std::vector<V>> m;
-    for (std::size_t i = 0; i < p; ++i) {
-      for (auto& [k, v] : buckets[i][t]) m[k].push_back(std::move(v));
-    }
-    out[t].reserve(m.size());
-    for (auto& kv : m) out[t].emplace_back(kv.first, std::move(kv.second));
-  });
-  return Dataset<std::pair<K, std::vector<V>>>{ctx, std::move(out)};
-}
-
 /// Inner hash join of two pair datasets on their keys.
 template <typename K, typename A, typename B>
 Dataset<std::pair<K, std::pair<A, B>>> join(const Dataset<std::pair<K, A>>& lhs,
@@ -318,59 +272,6 @@ Dataset<std::pair<K, std::pair<A, B>>> join(const Dataset<std::pair<K, A>>& lhs,
     }
   });
   return Dataset<std::pair<K, std::pair<A, B>>>{ctx, std::move(out)};
-}
-
-/// Globally sort by key: range-partition on sampled splitters, then sort
-/// each partition locally. collect() on the result is globally ordered.
-template <typename K, typename V>
-Dataset<std::pair<K, V>> sort_by_key(const Dataset<std::pair<K, V>>& in) {
-  const obs::WallSpan span{"dataflow.stage", "sort_by_key"};
-  Context& ctx = in.context();
-  const std::size_t p = in.partition_count();
-
-  // Sample splitters: take up to 32 samples per partition.
-  std::vector<K> samples;
-  for (std::size_t i = 0; i < p; ++i) {
-    const auto& part = in.partition(i);
-    const std::size_t step = std::max<std::size_t>(1, part.size() / 32);
-    for (std::size_t j = 0; j < part.size(); j += step) {
-      samples.push_back(part[j].first);
-    }
-  }
-  std::sort(samples.begin(), samples.end());
-  std::vector<K> splitters;  // p-1 range boundaries
-  for (std::size_t s = 1; s < p; ++s) {
-    if (samples.empty()) break;
-    splitters.push_back(samples[s * samples.size() / p]);
-  }
-
-  const auto target_of = [&splitters](const K& key) {
-    return static_cast<std::size_t>(
-        std::upper_bound(splitters.begin(), splitters.end(), key) -
-        splitters.begin());
-  };
-
-  std::vector<std::vector<std::vector<std::pair<K, V>>>> buckets(
-      p, std::vector<std::vector<std::pair<K, V>>>(p));
-  ctx.pool().parallel_for(p, [&](std::size_t i) {
-    for (const auto& kv : in.partition(i)) {
-      buckets[i][target_of(kv.first)].push_back(kv);
-    }
-    ctx.note_shuffled_rows(in.partition(i).size());
-    ctx.note_shuffled_bytes(in.partition(i).size() * sizeof(std::pair<K, V>));
-  });
-
-  std::vector<std::vector<std::pair<K, V>>> out(p);
-  ctx.pool().parallel_for(p, [&](std::size_t t) {
-    for (std::size_t i = 0; i < p; ++i) {
-      out[t].insert(out[t].end(),
-                    std::make_move_iterator(buckets[i][t].begin()),
-                    std::make_move_iterator(buckets[i][t].end()));
-    }
-    std::sort(out[t].begin(), out[t].end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-  });
-  return Dataset<std::pair<K, V>>{ctx, std::move(out)};
 }
 
 }  // namespace rb::dataflow

@@ -15,23 +15,6 @@ bool is_switch(net::NodeKind kind) noexcept {
 
 }  // namespace
 
-std::vector<FailureDomain> rack_domains(const net::Topology& topo) {
-  std::vector<FailureDomain> domains;
-  for (net::NodeId id = 0; id < topo.node_count(); ++id) {
-    if (topo.node(id).kind != net::NodeKind::kEdgeSwitch) continue;
-    FailureDomain d;
-    d.name = "rack:" + topo.node(id).name;
-    d.switches.push_back(id);
-    for (const auto& [peer, link] : topo.adjacency(id)) {
-      static_cast<void>(link);
-      if (topo.node(peer).kind == net::NodeKind::kHost) d.hosts.push_back(peer);
-    }
-    std::sort(d.hosts.begin(), d.hosts.end());
-    domains.push_back(std::move(d));
-  }
-  return domains;
-}
-
 std::vector<FailureDomain> pod_domains(const net::Topology& topo) {
   // Connected components of the switch subgraph with core switches removed:
   // in a fat-tree each pod's edge+agg switches form one component (agg-core
@@ -83,32 +66,13 @@ std::vector<FailureDomain> pod_domains(const net::Topology& topo) {
   return domains;
 }
 
-const FailureDomain* domain_of(const std::vector<FailureDomain>& domains,
-                               net::NodeId host) {
-  for (const FailureDomain& d : domains) {
-    if (std::binary_search(d.hosts.begin(), d.hosts.end(), host)) return &d;
-  }
-  return nullptr;
-}
-
 void add_domain_outage(FaultPlan& plan, const FailureDomain& domain,
-                       sim::SimTime at, sim::SimTime outage,
-                       bool include_switches) {
+                       sim::SimTime at, sim::SimTime outage) {
   for (const net::NodeId host : domain.hosts) {
     plan.add_node_outage(host, at, outage);
   }
-  if (include_switches) {
-    for (const net::NodeId sw : domain.switches) {
-      plan.add_node_outage(sw, at, outage);
-    }
-  }
-}
-
-void add_domain_degrade(FaultPlan& plan, const FailureDomain& domain,
-                        sim::SimTime at, sim::SimTime duration,
-                        double factor) {
-  for (const net::NodeId host : domain.hosts) {
-    plan.add_node_degrade(host, at, duration, factor);
+  for (const net::NodeId sw : domain.switches) {
+    plan.add_node_outage(sw, at, outage);
   }
 }
 

@@ -2,17 +2,15 @@
 // Correlated failure domains derived from a net::Topology.
 //
 // Independent per-component MTBF/MTTR churn (plan.hpp) misses the failures
-// that actually hurt at datacenter scale: a PDU trips and a whole rack goes
-// with it, a bad aggregation-layer push blackholes a pod, a firmware rollout
-// gray-degrades every host behind one ToR. This module groups a topology
-// into *domains* — racks (one edge switch plus the hosts under it) and pods
-// (the switch fabric reachable without crossing the core, plus its hosts) —
-// and builds FaultPlans where every member of a domain fails together.
+// that actually hurt at datacenter scale: a bad aggregation-layer push
+// blackholes a whole pod at once. This module groups a topology into pods
+// (the switch fabric reachable without crossing the core, plus its hosts)
+// and builds FaultPlans where every member of a pod fails together.
 //
-// Domain derivation is structural, not name-based: racks come from host ->
-// edge-switch adjacency, pods from the connected components of the
-// non-core switch subgraph. It therefore works for every builder in
-// net/topology.hpp (fat-tree pods, leaf-spine "one pod", star "one rack").
+// Pod derivation is structural, not name-based: pods are the connected
+// components of the non-core switch subgraph. It therefore works for every
+// builder in net/topology.hpp (fat-tree pods; a leaf-spine or a star is
+// one pod).
 
 #include <cstddef>
 #include <string>
@@ -27,37 +25,21 @@ namespace rb::faults {
 /// One blast radius: the hosts that share the fate of a piece of shared
 /// infrastructure, plus the switches that make up that infrastructure.
 struct FailureDomain {
-  std::string name;                   // "rack:edge0_1", "pod1"
+  std::string name;                   // "pod1"
   std::vector<net::NodeId> hosts;     // sorted by id
-  std::vector<net::NodeId> switches;  // sorted by id; edge (+ agg for pods)
+  std::vector<net::NodeId> switches;  // sorted by id; edge + agg
 };
-
-/// One domain per edge switch: the switch and the hosts directly attached
-/// to it. Hosts with no edge-switch neighbor (point-to-point test rigs)
-/// appear in no rack.
-std::vector<FailureDomain> rack_domains(const net::Topology& topo);
 
 /// One domain per connected component of the switch graph with core
 /// switches removed: its edge/agg switches plus every host attached to
 /// them. A leaf-spine fabric (no core tier) is a single pod.
 std::vector<FailureDomain> pod_domains(const net::Topology& topo);
 
-/// The first domain whose host list contains `host`, or nullptr.
-const FailureDomain* domain_of(const std::vector<FailureDomain>& domains,
-                               net::NodeId host);
-
-/// Correlated outage: every member host — and, when `include_switches`,
-/// every member switch — dies at `at` and is repaired `outage` later
-/// (never, if outage < 0). With switches included the domain is also
-/// unreachable, so in-flight requests die on the wire, not just in queues.
+/// Correlated outage: every member host and switch dies at `at` and is
+/// repaired `outage` later (never, if outage < 0). The switches going too
+/// makes the domain unreachable, so in-flight requests die on the wire, not
+/// just in queues.
 void add_domain_outage(FaultPlan& plan, const FailureDomain& domain,
-                       sim::SimTime at, sim::SimTime outage,
-                       bool include_switches = true);
-
-/// Correlated gray failure: every member host is slowed by `factor` over
-/// [at, at + duration) (forever, if duration < 0). Switches stay healthy —
-/// the point of a gray failure is that the fabric still routes there.
-void add_domain_degrade(FaultPlan& plan, const FailureDomain& domain,
-                        sim::SimTime at, sim::SimTime duration, double factor);
+                       sim::SimTime at, sim::SimTime outage);
 
 }  // namespace rb::faults

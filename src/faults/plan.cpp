@@ -35,18 +35,6 @@ void FaultPlan::add_machine_outage(std::uint32_t machine, sim::SimTime at,
     add(FaultEvent{at + outage, FaultTarget::kMachine, machine, true});
 }
 
-void FaultPlan::add_link_degrade(net::LinkId link, sim::SimTime at,
-                                 sim::SimTime duration, double factor) {
-  if (factor < 1.0)
-    throw std::invalid_argument{"FaultPlan::add_link_degrade: factor < 1"};
-  add(FaultEvent{at, FaultTarget::kLink, link, false, FaultMode::kDegrade,
-                 factor});
-  if (duration >= 0) {
-    add(FaultEvent{at + duration, FaultTarget::kLink, link, true,
-                   FaultMode::kDegrade, 1.0});
-  }
-}
-
 void FaultPlan::add_node_degrade(net::NodeId node, sim::SimTime at,
                                  sim::SimTime duration, double factor) {
   if (factor < 1.0)

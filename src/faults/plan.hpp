@@ -74,8 +74,7 @@ class FaultPlan {
 
   /// Gray failure: slowed by `factor` at `at`, healthy again at
   /// `at + duration` (never recovers if duration < 0). Requires factor >= 1.
-  void add_link_degrade(net::LinkId link, sim::SimTime at,
-                        sim::SimTime duration, double factor);
+  /// A link degrade is built with add() and FaultMode::kDegrade.
   void add_node_degrade(net::NodeId node, sim::SimTime at,
                         sim::SimTime duration, double factor);
 

@@ -125,12 +125,6 @@ void Topology::set_link_slowdown(LinkId id, double factor) {
   ++epoch_;
 }
 
-std::size_t Topology::degraded_nodes() const noexcept {
-  std::size_t n = 0;
-  for (const double f : node_slow_) n += f > 1.0 ? 1 : 0;
-  return n;
-}
-
 std::size_t Topology::switch_ports() const noexcept {
   std::size_t ports = 0;
   for (const auto& link : links_) {

@@ -139,8 +139,6 @@ class Topology {
   /// changes state.
   std::uint64_t state_epoch() const noexcept { return epoch_; }
 
-  std::size_t degraded_nodes() const noexcept;
-
  private:
   std::vector<NodeInfo> nodes_;
   std::vector<Link> links_;

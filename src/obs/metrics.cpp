@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <stdexcept>
 
@@ -99,22 +98,6 @@ double LatencyHistogram::percentile(double p) const {
   return bounds_.back();
 }
 
-void LatencyHistogram::merge_from(const LatencyHistogram& other) {
-  if (other.bounds_ != bounds_)
-    throw std::invalid_argument{
-        "LatencyHistogram::merge_from: bucket bounds differ"};
-  for (std::size_t i = 0; i < bucket_count(); ++i) {
-    counts_[i].fetch_add(other.counts_[i].load(std::memory_order_relaxed),
-                         std::memory_order_relaxed);
-  }
-  count_.fetch_add(other.count(), std::memory_order_relaxed);
-  double cur = sum_.load(std::memory_order_relaxed);
-  const double add = other.sum();
-  while (!sum_.compare_exchange_weak(cur, cur + add,
-                                     std::memory_order_relaxed)) {
-  }
-}
-
 std::vector<double> exponential_bounds(double start, double factor,
                                        std::size_t n) {
   if (!(start > 0.0) || !(factor > 1.0) || n == 0)
@@ -190,31 +173,6 @@ LatencyHistogram& Registry::histogram(std::string_view name,
               .hist;
 }
 
-void Registry::merge_from(const Registry& other) {
-  // Snapshot the other registry's entries (shallow: keys + pointers are
-  // stable) under its lock, then fold into ours.
-  std::vector<const Entry*> theirs;
-  {
-    const std::scoped_lock lock{other.mutex_};
-    theirs.reserve(other.entries_.size());
-    for (const auto& [key, e] : other.entries_) theirs.push_back(&e);
-  }
-  for (const Entry* e : theirs) {
-    switch (e->kind) {
-      case MetricSample::Kind::kCounter:
-        counter(e->name, e->labels).merge_from(*e->counter);
-        break;
-      case MetricSample::Kind::kGauge:
-        gauge(e->name, e->labels).merge_from(*e->gauge);
-        break;
-      case MetricSample::Kind::kHistogram:
-        histogram(e->name, e->hist->bounds(), e->labels)
-            .merge_from(*e->hist);
-        break;
-    }
-  }
-}
-
 std::vector<MetricSample> Registry::snapshot() const {
   std::vector<MetricSample> out;
   const std::scoped_lock lock{mutex_};
@@ -283,29 +241,6 @@ std::string Registry::to_json() const {
   }
   w.end_array().end_object();
   return w.take();
-}
-
-std::string Registry::to_csv() const {
-  std::string out = "name,labels,kind,value,count,sum,p50,p90,p99\n";
-  char buf[192];
-  for (const auto& s : snapshot()) {
-    std::string labels;
-    for (const auto& [k, v] : s.labels) {
-      if (!labels.empty()) labels += ';';
-      labels += k;
-      labels += '=';
-      labels += v;
-    }
-    std::snprintf(buf, sizeof buf, ",%s,%.17g,%llu,%.17g,%.17g,%.17g,%.17g\n",
-                  kind_name(s.kind), s.value,
-                  static_cast<unsigned long long>(s.count), s.sum, s.p50,
-                  s.p90, s.p99);
-    out += s.name;
-    out += ',';
-    out += labels;
-    out += buf;
-  }
-  return out;
 }
 
 void Registry::clear() {

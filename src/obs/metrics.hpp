@@ -16,9 +16,6 @@
 //    with the same interface (checked by `MetricSinkLike` static_asserts), so
 //    generic code can instantiate a fully-stripped variant.
 //
-// Registries are mergeable like sim::RunningStats: worker-local registries
-// can be folded into the global one for exactly-once aggregation.
-//
 // This module sits below rb_sim in the dependency order (it knows nothing
 // about simulated time); callers pass plain numbers.
 
@@ -71,8 +68,6 @@ class Counter {
     return total;
   }
 
-  void merge_from(const Counter& other) noexcept { add(other.value()); }
-
   /// Zero every shard in place. Test/bench-scenario use only: racing
   /// writers may be partially counted.
   void reset() noexcept {
@@ -108,12 +103,6 @@ class Gauge {
   }
 
   double value() const noexcept { return v_.load(std::memory_order_relaxed); }
-
-  /// Gauges merge by taking the other registry's last value when this one
-  /// never saw an update; otherwise the local (more recent) value wins.
-  void merge_from(const Gauge& other) noexcept {
-    if (value() == 0.0) set(other.value());
-  }
 
   void reset() noexcept { set(0.0); }
 
@@ -157,12 +146,8 @@ class LatencyHistogram {
   /// bucket containing the rank; 0 when empty.
   double percentile(double p) const;
 
-  void merge_from(const LatencyHistogram& other);
-
   /// Zero counts/sum/exemplars in place, keeping the bucket layout.
   void reset() noexcept;
-
-  const std::vector<double>& bounds() const noexcept { return bounds_; }
 
  private:
   std::size_t bucket_index(double v) const noexcept;
@@ -247,17 +232,11 @@ class Registry {
                               std::vector<double> upper_bounds,
                               Labels labels = {});
 
-  /// Fold another registry's values into this one (exactly-once: call after
-  /// the other registry's writers are quiescent).
-  void merge_from(const Registry& other);
-
   /// Stable-ordered flat snapshot (sorted by name, then labels).
   std::vector<MetricSample> snapshot() const;
 
   /// {"metrics":[{name, labels{...}, kind, value...}...]}
   std::string to_json() const;
-  /// Header `name,labels,kind,value,count,sum,p50,p90,p99` + one row each.
-  std::string to_csv() const;
 
   /// Drop every metric (tests and between bench repetitions). DANGEROUS
   /// for the global registry: instrumentation sites cache metric pointers

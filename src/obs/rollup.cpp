@@ -177,20 +177,6 @@ void AlertEngine::record_bad(std::int64_t ts, std::uint64_t n) noexcept {
   for (std::uint64_t i = 0; i < n; ++i) bad_.record(ts, 1.0);
 }
 
-double AlertEngine::burn_rate(std::int64_t ts,
-                              std::size_t lookback_windows) const {
-  const std::int64_t w = params_.window;
-  const std::int64_t end = (floor_div(ts, w) + 1) * w;
-  const std::int64_t begin =
-      end - static_cast<std::int64_t>(lookback_windows) * w;
-  const double good = good_.sum_range(begin, end);
-  const double bad = bad_.sum_range(begin, end);
-  const double total = good + bad;
-  if (total <= 0.0) return 0.0;
-  const double budget = 1.0 - params_.objective;
-  return (bad / total) / budget;
-}
-
 std::vector<Alert> AlertEngine::alerts(std::int64_t horizon) const {
   std::vector<Alert> out;
   const std::int64_t w = params_.window;

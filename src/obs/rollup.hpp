@@ -150,10 +150,6 @@ class AlertEngine {
   /// result; more data extends it.
   std::vector<Alert> alerts(std::int64_t horizon) const;
 
-  /// Burn rate over the last `lookback_windows` windows ending at the
-  /// window containing `ts` (diagnostics / tests).
-  double burn_rate(std::int64_t ts, std::size_t lookback_windows) const;
-
   const AlertParams& params() const noexcept { return params_; }
 
   void clear();

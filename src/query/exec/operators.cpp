@@ -152,25 +152,6 @@ void FilterInt::do_push(ColumnBatch& batch) {
   emit(batch);
 }
 
-FilterString::FilterString(const SchemaPtr& in, std::string column,
-                           std::function<bool(const std::string&)> pred)
-    : Operator{"filter"},
-      col_{in->index_of(column, ColumnType::kString)},
-      pred_{std::move(pred)} {
-  out_schema_ = in;
-}
-
-void FilterString::do_push(ColumnBatch& batch) {
-  const auto& values = batch.strings(col_);
-  sel_scratch_.clear();
-  batch.for_each_active([&](std::uint32_t r) {
-    if (pred_(values[r])) sel_scratch_.push_back(r);
-  });
-  batch.set_selection(std::move(sel_scratch_));
-  sel_scratch_ = {};
-  emit(batch);
-}
-
 /// --- HashJoin ------------------------------------------------------------
 
 HashJoin::HashJoin(const SchemaPtr& left, const Table* right,

@@ -179,21 +179,6 @@ class FilterInt : public Operator {
   obs::Counter* c_simd_rows_ = nullptr;
 };
 
-/// Selection-vector filter on a string column.
-class FilterString : public Operator {
- public:
-  FilterString(const SchemaPtr& in, std::string column,
-               std::function<bool(const std::string&)> pred);
-
- protected:
-  void do_push(ColumnBatch& batch) override;
-
- private:
-  std::size_t col_;
-  std::function<bool(const std::string&)> pred_;
-  std::vector<std::uint32_t> sel_scratch_;
-};
-
 /// Streaming-probe inner equi-join on int keys. The right table is the
 /// build side: open() hashes it once into an accel::HashTable64 whose value
 /// is a head index into forward-linked match chains (right rows of one key,

@@ -61,9 +61,6 @@ Table Plan::run(const ExecOptions& opts, ExecStats* stats) const {
                 ops.push_back(
                     std::make_unique<FilterInt>(schema, s.column, s.pred));
               }
-            } else if constexpr (std::is_same_v<S, FilterStringStage>) {
-              ops.push_back(
-                  std::make_unique<FilterString>(schema, s.column, s.pred));
             } else if constexpr (std::is_same_v<S, JoinStage>) {
               ops.push_back(std::make_unique<HashJoin>(
                   schema, &s.right, s.left_key, s.right_key,
@@ -170,29 +167,22 @@ PlanBuilder::PlanBuilder(const storage::LsmStore& store,
 
 PlanBuilder& PlanBuilder::filter_int(std::string column,
                                      std::function<bool(std::int64_t)> pred) {
-  plan_.stages_.push_back(
+  plan_.stages_.emplace_back(
       FilterIntStage{std::move(column), std::move(pred)});
   return *this;
 }
 
 PlanBuilder& PlanBuilder::filter_between(std::string column, std::int64_t lo,
                                          std::int64_t hi) {
-  plan_.stages_.push_back(FilterIntStage{
+  plan_.stages_.emplace_back(FilterIntStage{
       std::move(column),
       [lo, hi](std::int64_t v) { return v >= lo && v < hi; }, true, lo, hi});
   return *this;
 }
 
-PlanBuilder& PlanBuilder::filter_string(
-    std::string column, std::function<bool(const std::string&)> pred) {
-  plan_.stages_.push_back(
-      FilterStringStage{std::move(column), std::move(pred)});
-  return *this;
-}
-
 PlanBuilder& PlanBuilder::join(Table right, std::string left_key,
                                std::string right_key) {
-  plan_.stages_.push_back(JoinStage{
+  plan_.stages_.emplace_back(JoinStage{
       std::move(right), std::move(left_key), std::move(right_key)});
   return *this;
 }
@@ -200,23 +190,23 @@ PlanBuilder& PlanBuilder::join(Table right, std::string left_key,
 PlanBuilder& PlanBuilder::group_by(std::string key, Aggregate agg,
                                    std::string value,
                                    std::string result_name) {
-  plan_.stages_.push_back(GroupByStage{
+  plan_.stages_.emplace_back(GroupByStage{
       std::move(key), agg, std::move(value), std::move(result_name)});
   return *this;
 }
 
 PlanBuilder& PlanBuilder::order_by(std::string column, bool descending) {
-  plan_.stages_.push_back(OrderByStage{std::move(column), descending});
+  plan_.stages_.emplace_back(OrderByStage{std::move(column), descending});
   return *this;
 }
 
 PlanBuilder& PlanBuilder::limit(std::size_t n) {
-  plan_.stages_.push_back(LimitStage{n});
+  plan_.stages_.emplace_back(LimitStage{n});
   return *this;
 }
 
 PlanBuilder& PlanBuilder::project(std::vector<std::string> columns) {
-  plan_.stages_.push_back(ProjectStage{std::move(columns)});
+  plan_.stages_.emplace_back(ProjectStage{std::move(columns)});
   return *this;
 }
 

@@ -88,8 +88,6 @@ class PlanBuilder {
   /// the dispatched SIMD selection kernel instead of the opaque predicate.
   PlanBuilder& filter_between(std::string column, std::int64_t lo,
                               std::int64_t hi);
-  PlanBuilder& filter_string(std::string column,
-                             std::function<bool(const std::string&)> pred);
   PlanBuilder& join(Table right, std::string left_key,
                     std::string right_key);
   PlanBuilder& group_by(std::string key, Aggregate agg, std::string value,

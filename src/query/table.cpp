@@ -140,15 +140,6 @@ Table apply_filter_int(Table t, const FilterIntStage& s) {
   return t.gather(keep);
 }
 
-Table apply_filter_string(Table t, const FilterStringStage& s) {
-  const auto& values = t.strings(s.column);
-  std::vector<std::uint32_t> keep;
-  for (std::uint32_t i = 0; i < values.size(); ++i) {
-    if (s.pred(values[i])) keep.push_back(i);
-  }
-  return t.gather(keep);
-}
-
 Table apply_join(Table left, const JoinStage& s) {
   const auto& lkeys = left.ints(s.left_key);
   const auto& rkeys = s.right.ints(s.right_key);
@@ -277,8 +268,6 @@ Table interpret(Table current, const std::vector<Stage>& stages) {
           using S = std::decay_t<decltype(s)>;
           if constexpr (std::is_same_v<S, FilterIntStage>) {
             return apply_filter_int(std::move(current), s);
-          } else if constexpr (std::is_same_v<S, FilterStringStage>) {
-            return apply_filter_string(std::move(current), s);
           } else if constexpr (std::is_same_v<S, JoinStage>) {
             return apply_join(std::move(current), s);
           } else if constexpr (std::is_same_v<S, GroupByStage>) {

@@ -1,6 +1,5 @@
 #pragma once
-// Columnar table + the relational stages that query it, over the dataflow
-// framework.
+// Columnar table + the relational stages that query it.
 //
 // Sec IV.C.1 of the paper traces the shift from query languages (SQL on
 // clean relational data) to distributed frameworks. This module closes the
@@ -107,10 +106,6 @@ struct FilterIntStage {
   std::int64_t lo = 0;
   std::int64_t hi = 0;
 };
-struct FilterStringStage {
-  std::string column;
-  std::function<bool(const std::string&)> pred;
-};
 /// Inner equi-join on int keys. Output order is canonical left-major: left
 /// rows in order, each followed by its matches in right-row order. Right
 /// columns keep their names; collisions get suffix "_r".
@@ -138,9 +133,8 @@ struct ProjectStage {
   std::vector<std::string> columns;
 };
 
-using Stage = std::variant<FilterIntStage, FilterStringStage, JoinStage,
-                           GroupByStage, OrderByStage, LimitStage,
-                           ProjectStage>;
+using Stage = std::variant<FilterIntStage, JoinStage, GroupByStage,
+                           OrderByStage, LimitStage, ProjectStage>;
 
 /// The row-at-a-time reference interpreter: run `stages` in order over
 /// `source`, fully materializing each stage's output table. Columns are

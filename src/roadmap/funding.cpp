@@ -37,13 +37,6 @@ double adoption_gain(const FundingOption& option, int horizon_year) {
                               option.technology};
 }
 
-bool FundingPlan::funds_recommendation(int number) const noexcept {
-  for (const auto& option : funded) {
-    if (option.recommendation == number) return true;
-  }
-  return false;
-}
-
 FundingPlan allocate_funding(sim::Dollars budget, int horizon_year) {
   if (budget < 0.0)
     throw std::invalid_argument{"allocate_funding: negative budget"};

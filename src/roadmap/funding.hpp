@@ -40,8 +40,6 @@ struct FundingPlan {
   std::vector<FundingOption> funded;
   sim::Dollars spent = 0.0;
   double total_gain = 0.0;  // sum of adoption-fraction gains
-
-  bool funds_recommendation(int number) const noexcept;
 };
 
 /// Greedy gain-per-cost selection under `budget`. Deterministic; options

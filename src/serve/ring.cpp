@@ -36,16 +36,6 @@ void HashRing::add_node(ReplicaId id) {
   }
 }
 
-void HashRing::remove_node(ReplicaId id) {
-  if (!contains(id))
-    throw std::invalid_argument{"HashRing: unknown node " +
-                                std::to_string(id)};
-  nodes_.erase(id);
-  for (auto it = ring_.begin(); it != ring_.end();) {
-    it = it->second == id ? ring_.erase(it) : std::next(it);
-  }
-}
-
 void HashRing::set_up(ReplicaId id, bool up) {
   const auto it = nodes_.find(id);
   if (it == nodes_.end())

@@ -5,13 +5,11 @@
 // position's node. A key's shard is the arc it lands on; its R owners are
 // the first R *distinct* nodes clockwise from there.
 //
-// Two kinds of node removal, deliberately separate:
-//  * remove_node() — membership change (decommission). Only the departed
-//    node's arcs move, so ~1/N of keys change primary (the consistent-hash
-//    guarantee; the property test pins it).
-//  * set_up(id, false) — temporary ejection while a host is down. Ownership
-//    is unchanged (the node still holds its data); lookups just skip it
-//    until set_up(id, true). This is what replica failover uses.
+// Adding a node moves only the arcs it claims, so ~1/N of keys change
+// primary (the consistent-hash guarantee; the property test pins it). A
+// down host is ejected with set_up(id, false): ownership is unchanged (the
+// node still holds its data) and lookups just skip it until
+// set_up(id, true). This is what replica failover uses.
 
 #include <cstdint>
 #include <map>
@@ -37,10 +35,9 @@ class HashRing {
   /// `vnodes_per_node` positions are claimed per node (>= 1).
   explicit HashRing(std::size_t vnodes_per_node = 64);
 
-  /// Membership changes (reshard ~1/N of the key space).
-  /// Throw std::invalid_argument on duplicate add / unknown remove.
+  /// Membership change (reshards ~1/N of the key space). Throws
+  /// std::invalid_argument on a duplicate id.
   void add_node(ReplicaId id);
-  void remove_node(ReplicaId id);
 
   /// Temporary ejection: a down node keeps its arcs but is skipped by
   /// live_replicas(). Throws std::invalid_argument on unknown id.

@@ -4,9 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <numeric>
-#include <set>
 
 #include "workloads/generators.hpp"
 
@@ -112,74 +110,6 @@ TEST(PageRank, ConvergesOnSmallGraph) {
   const auto pr = pagerank(CsrGraph{chain_edges(10)}, 0.85, 200, 1e-12);
   EXPECT_LT(pr.iterations_run, 200);
   EXPECT_LT(pr.last_delta, 1e-12);
-}
-
-TEST(Bfs, LevelsOnChain) {
-  const CsrGraph g{chain_edges(5)};
-  const auto levels = bfs_levels(g, 0);
-  for (std::uint32_t i = 0; i < 5; ++i) EXPECT_EQ(levels[i], i);
-}
-
-TEST(Bfs, UnreachableIsMax) {
-  const std::vector<GraphEdge> edges{{0, 1}};
-  const CsrGraph g{edges, 3};
-  const auto levels = bfs_levels(g, 0);
-  EXPECT_EQ(levels[2], std::numeric_limits<std::uint32_t>::max());
-}
-
-TEST(Bfs, RejectsBadSource) {
-  const CsrGraph g{chain_edges(3)};
-  EXPECT_THROW(bfs_levels(g, 99), std::invalid_argument);
-}
-
-TEST(Bfs, DirectedEdgesNotReversed) {
-  const CsrGraph g{chain_edges(4)};
-  const auto levels = bfs_levels(g, 2);
-  EXPECT_EQ(levels[3], 1u);
-  EXPECT_EQ(levels[0], std::numeric_limits<std::uint32_t>::max());
-}
-
-TEST(Components, TwoIslands) {
-  const std::vector<GraphEdge> edges{{0, 1}, {1, 2}, {3, 4}};
-  const auto labels = connected_components(edges, 5);
-  EXPECT_EQ(labels[0], labels[1]);
-  EXPECT_EQ(labels[1], labels[2]);
-  EXPECT_EQ(labels[3], labels[4]);
-  EXPECT_NE(labels[0], labels[3]);
-  EXPECT_EQ(labels[0], 0u);  // smallest id labels the component
-  EXPECT_EQ(labels[3], 3u);
-}
-
-TEST(Components, DirectionIgnored) {
-  const std::vector<GraphEdge> edges{{2, 0}, {1, 2}};
-  const auto labels = connected_components(edges, 3);
-  EXPECT_EQ(labels[0], labels[1]);
-}
-
-TEST(Components, IsolatedVerticesAreSingletons) {
-  const auto labels = connected_components({}, 4);
-  const std::set<std::uint32_t> distinct{labels.begin(), labels.end()};
-  EXPECT_EQ(distinct.size(), 4u);
-}
-
-TEST(Components, ConsistentWithBfsReachability) {
-  // Property: on an undirected view, two vertices share a component iff a
-  // bidirectional BFS can reach one from the other.
-  const auto rmat = workloads::rmat_graph(8, 300, 5);
-  std::vector<GraphEdge> edges, doubled;
-  for (const auto& e : rmat) {
-    edges.push_back(GraphEdge{e.src, e.dst});
-    doubled.push_back(GraphEdge{e.src, e.dst});
-    doubled.push_back(GraphEdge{e.dst, e.src});
-  }
-  const auto labels = connected_components(edges, 256);
-  const CsrGraph undirected{doubled, 256};
-  const auto levels = bfs_levels(undirected, 0);
-  for (std::uint32_t v = 0; v < 256; ++v) {
-    const bool reachable =
-        levels[v] != std::numeric_limits<std::uint32_t>::max();
-    EXPECT_EQ(labels[v] == labels[0], reachable) << "vertex " << v;
-  }
 }
 
 }  // namespace

@@ -47,27 +47,11 @@ TEST(Dataset, FilterKeepsMatching) {
   for (const int x : evens.collect()) EXPECT_EQ(x % 2, 0);
 }
 
-TEST(Dataset, FlatMapExpands) {
-  Context ctx{2};
-  const auto ds = Dataset<int>::from_vector(ctx, {1, 2, 3});
-  const auto expanded = ds.flat_map([](const int& x) {
-    return std::vector<int>(static_cast<std::size_t>(x), x);
-  });
-  EXPECT_EQ(expanded.size(), 6u);  // 1 + 2 + 3
-}
-
 TEST(Dataset, FoldSums) {
   Context ctx{4};
   const auto ds = Dataset<int>::from_vector(ctx, iota_vec(101));
   const auto plus = [](int a, int b) { return a + b; };
   EXPECT_EQ(ds.fold(0, plus, plus), 5050);
-}
-
-TEST(Dataset, KeyByBuildsPairs) {
-  Context ctx{2};
-  const auto ds = Dataset<int>::from_vector(ctx, iota_vec(10));
-  const auto keyed = ds.key_by([](const int& x) { return x % 3; });
-  for (const auto& [k, v] : keyed.collect()) EXPECT_EQ(k, v % 3);
 }
 
 TEST(ReduceByKey, WordCountSemantics) {
@@ -106,18 +90,6 @@ TEST(ReduceByKey, MatchesSequentialReference) {
   EXPECT_EQ(got, reference);
 }
 
-TEST(GroupByKey, CollectsAllValues) {
-  Context ctx{4};
-  std::vector<std::pair<int, int>> pairs;
-  for (int i = 0; i < 30; ++i) pairs.emplace_back(i % 3, i);
-  auto ds = Dataset<std::pair<int, int>>::from_vector(ctx, pairs);
-  const auto grouped = group_by_key(ds);
-  EXPECT_EQ(grouped.size(), 3u);
-  for (const auto& [k, vs] : grouped.collect()) {
-    EXPECT_EQ(vs.size(), 10u) << "key " << k;
-  }
-}
-
 TEST(Join, InnerJoinMatchesReference) {
   Context ctx{4};
   std::vector<std::pair<int, std::string>> left = {
@@ -140,23 +112,6 @@ TEST(Join, DisjointKeysProduceNothing) {
   auto lds = Dataset<std::pair<int, int>>::from_vector(ctx, {{1, 1}});
   auto rds = Dataset<std::pair<int, int>>::from_vector(ctx, {{2, 2}});
   EXPECT_EQ(join(lds, rds).size(), 0u);
-}
-
-TEST(SortByKey, GloballySorted) {
-  Context ctx{4};
-  sim::Rng rng{17};
-  std::vector<std::pair<std::uint64_t, int>> pairs;
-  for (int i = 0; i < 5000; ++i) {
-    pairs.emplace_back(rng(), i);
-  }
-  auto ds =
-      Dataset<std::pair<std::uint64_t, int>>::from_vector(ctx, pairs);
-  const auto sorted = sort_by_key(ds);
-  EXPECT_EQ(sorted.size(), pairs.size());
-  const auto all = sorted.collect();
-  for (std::size_t i = 1; i < all.size(); ++i) {
-    EXPECT_LE(all[i - 1].first, all[i].first);
-  }
 }
 
 TEST(Shuffle, MetricsAccumulate) {

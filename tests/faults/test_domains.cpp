@@ -1,5 +1,5 @@
-// Correlated failure domains: structural rack/pod derivation and the
-// domain-wide outage/degrade plan builders.
+// Correlated failure domains: structural pod derivation and the pod-wide
+// outage plan builder.
 
 #include <gtest/gtest.h>
 
@@ -12,20 +12,6 @@
 
 namespace rb {
 namespace {
-
-TEST(FailureDomains, FatTreeRacksAreEdgeSwitchesWithTheirHosts) {
-  const auto topo = net::make_fat_tree(4);  // 16 hosts, 8 edge switches
-  const auto racks = faults::rack_domains(topo);
-  ASSERT_EQ(racks.size(), 8u);
-  std::size_t hosts_total = 0;
-  for (const auto& rack : racks) {
-    EXPECT_EQ(rack.switches.size(), 1u);
-    EXPECT_EQ(topo.node(rack.switches[0]).kind, net::NodeKind::kEdgeSwitch);
-    EXPECT_EQ(rack.hosts.size(), 2u);  // k/2 hosts per edge switch
-    hosts_total += rack.hosts.size();
-  }
-  EXPECT_EQ(hosts_total, 16u);
-}
 
 TEST(FailureDomains, FatTreePodsPartitionHostsAndSwitches) {
   const auto topo = net::make_fat_tree(4);
@@ -52,17 +38,6 @@ TEST(FailureDomains, LeafSpineIsOnePod) {
   EXPECT_EQ(pods[0].hosts.size(), 12u);
 }
 
-TEST(FailureDomains, DomainOfFindsTheOwningDomain) {
-  const auto topo = net::make_fat_tree(4);
-  const auto pods = faults::pod_domains(topo);
-  for (const auto& pod : pods) {
-    for (const net::NodeId host : pod.hosts) {
-      EXPECT_EQ(faults::domain_of(pods, host), &pod);
-    }
-  }
-  EXPECT_EQ(faults::domain_of(pods, pods[0].switches[0]), nullptr);
-}
-
 TEST(FailureDomains, DomainOutagePlanTakesWholeDomainDownAndBack) {
   const auto topo = net::make_fat_tree(4);
   const auto pods = faults::pod_domains(topo);
@@ -82,30 +57,6 @@ TEST(FailureDomains, DomainOutagePlanTakesWholeDomainDownAndBack) {
   for (const net::NodeId id : pods[0].hosts) EXPECT_TRUE(live.node_up(id));
   sim.run();
   for (const net::NodeId id : pods[1].hosts) EXPECT_TRUE(live.node_up(id));
-}
-
-TEST(FailureDomains, DomainDegradeSlowsHostsButSparesSwitches) {
-  const auto topo = net::make_fat_tree(4);
-  const auto racks = faults::rack_domains(topo);
-  faults::FaultPlan plan;
-  faults::add_domain_degrade(plan, racks[0], sim::kSecond, sim::kSecond, 6.0);
-  EXPECT_NO_THROW(plan.validate(topo));
-
-  auto live = net::make_fat_tree(4);
-  sim::Simulator sim;
-  faults::FaultInjector injector{sim, live, plan};
-  injector.arm();
-  sim.run_until(sim::kSecond + 1);
-  for (const net::NodeId id : racks[0].hosts) {
-    EXPECT_TRUE(live.node_up(id));  // gray, not dead
-    EXPECT_DOUBLE_EQ(live.node_slowdown(id), 6.0);
-  }
-  for (const net::NodeId id : racks[0].switches) {
-    EXPECT_DOUBLE_EQ(live.node_slowdown(id), 1.0);
-  }
-  EXPECT_EQ(live.degraded_nodes(), racks[0].hosts.size());
-  sim.run();
-  EXPECT_EQ(live.degraded_nodes(), 0u);
 }
 
 }  // namespace

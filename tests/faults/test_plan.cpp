@@ -186,7 +186,7 @@ TEST(FaultPlanValidate, RejectsDegradeFactorBelowOne) {
 
 TEST(FaultPlanValidate, DegradeHelperPairsOnsetWithRecovery) {
   faults::FaultPlan plan;
-  plan.add_link_degrade(3, 2 * sim::kSecond, 1 * sim::kSecond, 8.0);
+  plan.add_node_degrade(3, 2 * sim::kSecond, 1 * sim::kSecond, 8.0);
   const auto& events = plan.events();
   ASSERT_EQ(events.size(), 2u);
   EXPECT_FALSE(events[0].up);

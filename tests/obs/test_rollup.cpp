@@ -186,11 +186,16 @@ TEST(AlertEngine, BurnRateMatchesDefinition) {
   AlertEngine e{test_params()};
   e.record_good(5, 5);
   e.record_bad(5, 5);
-  // 50% failures against a 10% budget = burning 5x the sustainable rate.
-  EXPECT_DOUBLE_EQ(e.burn_rate(5, 1), 5.0);
-  EXPECT_DOUBLE_EQ(e.burn_rate(200, 1), 0.0);  // empty lookback
+  // 50% failures against a 10% budget = burning 5x the sustainable rate,
+  // exactly the rule's threshold, so the first closed window fires.
+  const auto alerts = e.alerts(30);
+  ASSERT_EQ(alerts.size(), 1u);
+  EXPECT_EQ(alerts[0].fired_at, 10);
+  EXPECT_DOUBLE_EQ(alerts[0].burn_short, 5.0);
+  EXPECT_DOUBLE_EQ(alerts[0].burn_long, 5.0);
+  EXPECT_EQ(alerts[0].cleared_at, 30);  // the short lookback ran empty
   e.clear();
-  EXPECT_DOUBLE_EQ(e.burn_rate(5, 1), 0.0);
+  EXPECT_TRUE(e.alerts(30).empty());
 }
 
 TEST(AlertEngine, RejectsMisconfiguredParams) {

@@ -76,7 +76,7 @@ void random_stages(sim::Rng& rng, PlanBuilder& b) {
   bool aggregated = false;
   bool joined = false;
   for (std::size_t s = 0; s < n_stages; ++s) {
-    switch (aggregated ? rng.uniform_index(2) + 4 : rng.uniform_index(6)) {
+    switch (aggregated ? rng.uniform_index(2) + 3 : rng.uniform_index(5)) {
       case 0: {
         if (rng.chance(0.5)) {
           const char* column = rng.chance(0.5) ? "value" : "wide";
@@ -97,27 +97,20 @@ void random_stages(sim::Rng& rng, PlanBuilder& b) {
         b.filter_int("value", [cut](std::int64_t v) { return v >= cut; });
         break;
       }
-      case 1: {
-        const bool keep_red = rng.chance(0.5);
-        b.filter_string("tag", [keep_red](const std::string& t) {
-          return keep_red ? t == "red" : t > "c";
-        });
-        break;
-      }
-      case 2:
+      case 1:
         if (!joined) {
           b.join(random_right(rng, 1 + rng.uniform_index(40)), "key", "key");
           joined = true;
         }
         break;
-      case 3: {
+      case 2: {
         const bool by_tag = rng.chance(0.5);
         const auto agg = static_cast<Aggregate>(rng.uniform_index(4));
         b.group_by(by_tag ? "tag" : "key", agg, "value", "out");
         aggregated = true;
         break;
       }
-      case 4:
+      case 3:
         b.order_by(aggregated ? "out" : "value", rng.chance(0.5));
         break;
       default:

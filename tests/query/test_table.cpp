@@ -91,13 +91,6 @@ TEST(Query, WhereIntFilters) {
   EXPECT_EQ(result.strings("name")[1], "cyd");
 }
 
-TEST(Query, WhereStringFilters) {
-  const auto result = interpret(
-      people(), {FilterStringStage{
-                    "name", [](const std::string& n) { return n < "c"; }}});
-  EXPECT_EQ(result.row_count(), 2u);
-}
-
 TEST(Query, ChainedFiltersCompose) {
   const auto result =
       interpret(people(),
@@ -241,7 +234,6 @@ TEST(Query, EmptyTableSupportsEveryStageKind) {
   const auto result = interpret(
       empty,
       {FilterIntStage{"v", [](std::int64_t) { return true; }},
-       FilterStringStage{"s", [](const std::string&) { return true; }},
        JoinStage{right, "k", "k"},
        GroupByStage{"s", Aggregate::kSum, "v", "total"},
        OrderByStage{"total"}, LimitStage{3}, ProjectStage{{"s", "total"}}});

@@ -98,13 +98,5 @@ TEST(Funding, Deterministic) {
   }
 }
 
-TEST(Funding, FundsRecommendationLookupWorks) {
-  const auto plan = allocate_funding(1e12);
-  ASSERT_FALSE(plan.funded.empty());
-  EXPECT_TRUE(
-      plan.funds_recommendation(plan.funded.front().recommendation));
-  EXPECT_FALSE(plan.funds_recommendation(999));
-}
-
 }  // namespace
 }  // namespace rb::roadmap
