@@ -120,14 +120,13 @@ void FlowSimulator::unlink_flow(std::uint32_t idx) {
 
 void FlowSimulator::build_path(FlowId id, NodeId src, NodeId dst,
                                std::vector<PathHop>& path,
-                               sim::SimTime& latency) const {
+                               sim::SimTime& latency) {
   path.clear();
   latency = 0;
   if (src == dst) return;
-  const auto links = router_->path(src, dst, sim::mix64(id));
-  path.reserve(links.size());
+  router_->path(src, dst, sim::mix64(id), route_scratch_);
   NodeId at = src;
-  for (const LinkId link_id : links) {
+  for (const LinkId link_id : route_scratch_) {
     const Link& link = topo_->link(link_id);
     const std::uint32_t dir = (link.a == at) ? 0 : 1;
     path.push_back(PathHop{(static_cast<std::uint32_t>(link_id) << 1) | dir, 0});
@@ -254,7 +253,8 @@ void FlowSimulator::handle_topology_change() {
   advance_to_now();
   ensure_dlinks();
   // Pass 1: classify every active flow against the new component state.
-  std::vector<std::pair<FlowId, std::uint32_t>> broken;
+  auto broken = std::move(broken_scratch_);
+  broken.clear();
   for (std::uint32_t i = 0; i < slots_.size(); ++i) {
     if (slots_[i].id != 0 && !path_is_live(slots_[i])) {
       broken.emplace_back(slots_[i].id, i);
@@ -263,6 +263,7 @@ void FlowSimulator::handle_topology_change() {
   if (broken.empty()) {
     // Repairs can still open shorter paths for *new* flows; active flows
     // stay put (no flap-induced reshuffling) — nothing to do.
+    broken_scratch_ = std::move(broken);
     return;
   }
   std::sort(broken.begin(), broken.end());  // deterministic order
@@ -288,6 +289,7 @@ void FlowSimulator::handle_topology_change() {
       fail_flow(idx);
     }
   }
+  broken_scratch_ = std::move(broken);
   realloc_pending_ = true;
   flush_realloc();
 }
@@ -478,7 +480,8 @@ void FlowSimulator::handle_completion_event() {
   // earliest completion).
   flush_realloc();
   advance_to_now();
-  std::vector<std::pair<FlowId, std::uint32_t>> done;
+  auto done = std::move(done_scratch_);
+  done.clear();
   for (std::uint32_t i = 0; i < slots_.size(); ++i) {
     if (slots_[i].id != 0 && slots_[i].remaining_bits <= kResidualBits) {
       done.emplace_back(slots_[i].id, i);
@@ -487,7 +490,9 @@ void FlowSimulator::handle_completion_event() {
   // Deterministic completion order.
   std::sort(done.begin(), done.end());
   for (const auto& [id, idx] : done) finish_flow(idx);
-  if (!done.empty()) {
+  const bool drained = !done.empty();
+  done_scratch_ = std::move(done);
+  if (drained) {
     realloc_pending_ = true;
     flush_realloc();
   } else {

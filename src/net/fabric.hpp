@@ -190,7 +190,7 @@ class FlowSimulator {
 
   /// Resolve src→dst into directed-link hops; throws NoRouteError.
   void build_path(FlowId id, NodeId src, NodeId dst,
-                  std::vector<PathHop>& path, sim::SimTime& latency) const;
+                  std::vector<PathHop>& path, sim::SimTime& latency);
   bool path_is_live(const FlowSlot& flow) const;
   void advance_to_now();
 
@@ -237,6 +237,14 @@ class FlowSimulator {
   /// active_links_[p], or +inf once the link has no unfrozen flow.
   std::vector<double> share_;
   std::vector<PathHop> path_scratch_;
+  /// Router::path's output buffer for build_path.
+  std::vector<LinkId> route_scratch_;
+  /// (id, slot) lists of the flows a topology change broke and of the flows
+  /// a completion event drained. Each handler moves its list into a local
+  /// for the walk (a flow callback may re-enter the fabric) and moves it
+  /// back afterwards, so the capacity is kept across epochs.
+  std::vector<std::pair<FlowId, std::uint32_t>> broken_scratch_;
+  std::vector<std::pair<FlowId, std::uint32_t>> done_scratch_;
 
   FlowId next_id_ = 1;
   sim::SimTime last_advance_ = 0;

@@ -60,39 +60,33 @@ bool Router::reachable(NodeId from, NodeId to) const {
   return dist_[to][from] != kUnreachable;
 }
 
-std::vector<std::pair<NodeId, LinkId>> Router::next_hops(NodeId at,
-                                                         NodeId dst) const {
+void Router::path(NodeId src, NodeId dst, std::uint64_t flow_hash,
+                  std::vector<LinkId>& out) const {
+  out.clear();
+  if (src == dst) return;
   ensure_dist(dst);
   const auto& d = dist_[dst];
-  if (d.at(at) == kUnreachable)
-    throw NoRouteError{"Router::next_hops: unreachable destination"};
-  std::vector<std::pair<NodeId, LinkId>> hops;
-  for (const auto& [peer, link] : topo_->adjacency(at)) {
-    if (d[peer] == d[at] - 1 && topo_->link_usable(link))
-      hops.emplace_back(peer, link);
-  }
-  return hops;
-}
-
-std::vector<LinkId> Router::path(NodeId src, NodeId dst,
-                                 std::uint64_t flow_hash) const {
-  std::vector<LinkId> links;
-  if (src == dst) return links;
-  ensure_dist(dst);
+  if (d.at(src) == kUnreachable)
+    throw NoRouteError{"Router::path: unreachable destination"};
   NodeId at = src;
-  int hop = 0;
-  while (at != dst) {
-    const auto options = next_hops(at, dst);
-    if (options.empty()) throw NoRouteError{"Router::path: no next hop"};
+  for (std::uint64_t hop = 0; at != dst; ++hop) {
+    const auto& adjacency = topo_->adjacency(at);
+    const auto closer = [&](NodeId peer, LinkId link) {
+      return d[peer] == d[at] - 1 && topo_->link_usable(link);
+    };
+    std::size_t options = 0;
+    for (const auto& [peer, link] : adjacency) options += closer(peer, link);
+    if (options == 0) throw NoRouteError{"Router::path: no next hop"};
     // Deterministic per-hop ECMP: hash(flow, hop) selects among options.
-    const auto idx = static_cast<std::size_t>(
-        sim::mix64(flow_hash ^ (static_cast<std::uint64_t>(hop) << 32)) %
-        options.size());
-    links.push_back(options[idx].second);
-    at = options[idx].first;
-    ++hop;
+    std::size_t pick =
+        static_cast<std::size_t>(sim::mix64(flow_hash ^ (hop << 32)) % options);
+    for (const auto& [peer, link] : adjacency) {
+      if (!closer(peer, link) || pick-- != 0) continue;
+      out.push_back(link);
+      at = peer;
+      break;
+    }
   }
-  return links;
 }
 
 }  // namespace rb::net

@@ -7,6 +7,12 @@
 // Flows pick among equal-cost next hops with a deterministic hash of the
 // flow id — the flow-level analogue of 5-tuple ECMP hashing.
 //
+// path() writes into a caller's buffer and allocates nothing once that
+// buffer and the distance field are warm: at each hop it walks the node's
+// adjacency twice, once to count the equal-cost options and once to take
+// the hashed one. Callers on hot paths (FlowSimulator, FrontDoor) keep one
+// scratch vector and pass it on every call.
+//
 // The router is failure-aware: dead links and dead nodes (see
 // Topology::set_link_up / set_node_up) are excluded from the BFS, and all
 // cached distance fields are invalidated whenever the topology's state epoch
@@ -38,13 +44,13 @@ class Router {
   /// True if a live path exists from `from` to `to` (never throws).
   bool reachable(NodeId from, NodeId to) const;
 
-  /// The links on the ECMP path chosen for `flow_hash` from `src` to `dst`,
-  /// in order. Empty when src == dst. Throws NoRouteError if disconnected.
-  std::vector<LinkId> path(NodeId src, NodeId dst,
-                           std::uint64_t flow_hash) const;
-
-  /// All equal-cost (neighbor, link) next hops from `at` toward `dst`.
-  std::vector<std::pair<NodeId, LinkId>> next_hops(NodeId at, NodeId dst) const;
+  /// Replace `out` with the links of the ECMP path chosen for `flow_hash`
+  /// from `src` to `dst`, in order: at hop h it takes option
+  /// mix64(flow_hash ^ h << 32) % count among the usable links to a
+  /// neighbor one hop closer to `dst`, in adjacency order. Empty when
+  /// src == dst. Throws NoRouteError if disconnected.
+  void path(NodeId src, NodeId dst, std::uint64_t flow_hash,
+            std::vector<LinkId>& out) const;
 
  private:
   void ensure_dist(NodeId dst) const;

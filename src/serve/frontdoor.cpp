@@ -89,7 +89,8 @@ void FrontDoor::preload() {
   const std::size_t r = std::min(params_.replication, replicas_.size());
   for (std::size_t k = 0; k < params_.key_universe; ++k) {
     const std::string key = key_string(k);
-    for (const ReplicaId id : ring_.replicas(key, r).replicas) {
+    ring_.replicas(key, r, owners_);
+    for (const ReplicaId id : owners_.replicas) {
       replicas_[id]->store().put(key, value);
     }
   }
@@ -120,8 +121,14 @@ void FrontDoor::schedule_next_arrival() {
   });
 }
 
-Request FrontDoor::make_request() {
-  Request req;
+void FrontDoor::make_request(Request& req) {
+  // Start from a fresh Request, but hand the strings' buffers back to it.
+  std::string key = std::move(req.key);
+  std::string value = std::move(req.value);
+  req = Request{};
+  req.key = std::move(key);
+  req.value = std::move(value);
+  req.value.clear();
   req.id = next_request_id_++;
   req.issued = sim_->now();
   if (params_.resilience.request_timeout > 0) {
@@ -137,27 +144,25 @@ Request FrontDoor::make_request() {
     req.trace = tracer.start_trace(
         req.op == OpKind::kGet ? "get" : "put", req.issued);
   }
-  return req;
 }
 
 void FrontDoor::issue() {
-  Request req = make_request();
-  slo_.on_issued(req);
+  const std::uint64_t id = next_request_id_;
+  Pending& p = pending_.add(id);
+  make_request(p.req);
+  slo_.on_issued(p.req);
   budget_.on_issued();
-  const std::uint64_t id = req.id;
-  Pending& p = pending_[id];
-  p.req = std::move(req);
   start_wave(id);
 }
 
 ReplicaId FrontDoor::pick_target(const Pending& p, bool hedge) {
   const std::size_t r = std::min(params_.replication, replicas_.size());
-  const Placement placement = ring_.replicas(p.req.key, r);
+  ring_.replicas(p.req.key, r, owners_);
   // Candidates: owners that are ring-live, whose host is up, and that are
   // serving. (Ownership never changes with up/down — only contactability.)
-  std::vector<ReplicaId> live;
-  live.reserve(placement.replicas.size());
-  for (const ReplicaId id : placement.replicas) {
+  std::vector<ReplicaId>& live = live_owners_;
+  live.clear();
+  for (const ReplicaId id : owners_.replicas) {
     if (ring_.up(id) && topo_->node_up(replicas_[id]->host()) &&
         replicas_[id]->serving()) {
       live.push_back(id);
@@ -205,16 +210,16 @@ void FrontDoor::start_wave(std::uint64_t id) {
   dispatch(id, target, /*hedge=*/false);
   // dispatch() may have resolved the request (unreachable target, retry
   // gates all said no) — re-look-up before arming the wave's timers.
-  const auto it = pending_.find(id);
-  if (it == pending_.end() || it->second.attempts.empty()) return;
-  const int wave = it->second.req.attempts;
+  const Pending* live = pending_.find(id);
+  if (live == nullptr || live->attempts.empty()) return;
+  const int wave = live->req.attempts;
   if (params_.resilience.attempt_timeout > 0) {
     sim_->schedule_in(params_.resilience.attempt_timeout,
                       [this, id, wave] { on_attempt_timeout(id, wave); });
   }
   const std::size_t r = std::min(params_.replication, replicas_.size());
-  if (params_.resilience.hedge.enabled &&
-      it->second.req.op == OpKind::kGet && r > 1) {
+  if (params_.resilience.hedge.enabled && live->req.op == OpKind::kGet &&
+      r > 1) {
     sim_->schedule_in(std::max<sim::SimTime>(hedge_delay_.delay(), 1),
                       [this, id, wave] { maybe_hedge(id, wave); });
   }
@@ -237,54 +242,56 @@ void FrontDoor::dispatch(std::uint64_t id, ReplicaId target, bool hedge) {
     return;
   }
   p.attempts.push_back(Attempt{target, sim_->now(), hedge});
-  Request copy = p.req;
-  // Causal propagation: open an attempt span under the request's root and
-  // hand the dispatched copy the attempt's coordinates, so the replica's
-  // queue/service spans (and the response path) parent to THIS attempt.
+  // Causal propagation: open an attempt span under the request's root; the
+  // copy delivered to the replica carries the attempt's coordinates, so
+  // the replica's queue/service spans (and the response path) parent to
+  // THIS attempt.
+  std::uint64_t span = p.req.trace.span_id;
   auto& tracer = obs::RequestTracer::global();
   if (tracer.enabled() && p.req.trace.active()) {
-    const std::uint64_t attempt_span = tracer.begin_span(
-        p.req.trace, obs::Segment::kAttempt, hedge ? "hedge" : "attempt",
-        sim_->now(), static_cast<std::int64_t>(target));
-    copy.trace.span_id = attempt_span;
-    tracer.add_span(copy.trace, obs::Segment::kNetwork, "net.out",
-                    sim_->now(), sim_->now() + delay,
-                    static_cast<std::int64_t>(target));
+    span = tracer.begin_span(p.req.trace, obs::Segment::kAttempt,
+                             hedge ? "hedge" : "attempt", sim_->now(),
+                             static_cast<std::int64_t>(target));
+    tracer.add_span(obs::TraceContext{p.req.trace.trace_id, span},
+                    obs::Segment::kNetwork, "net.out", sim_->now(),
+                    sim_->now() + delay, static_cast<std::int64_t>(target));
   }
-  sim_->schedule_in(delay, [this, copy = std::move(copy), target]() mutable {
-    deliver(std::move(copy), target);
+  const int wave = p.req.attempts;
+  sim_->schedule_in(delay, [this, id, wave, target, span] {
+    deliver(id, wave, target, span);
   });
 }
 
-void FrontDoor::deliver(Request req, ReplicaId target) {
-  const auto it = pending_.find(req.id);
-  if (it == pending_.end() || it->second.req.attempts != req.attempts) {
+void FrontDoor::deliver(std::uint64_t id, int wave, ReplicaId target,
+                        std::uint64_t span) {
+  Pending* p = pending_.find(id);
+  if (p == nullptr || p->req.attempts != wave) {
     // The race is over (hedge loser) or the wave was abandoned while this
     // attempt was on the wire: drop it before it costs the replica anything.
     return;
   }
-  Pending& p = it->second;
   ReplicaServer& replica = *replicas_[target];
   // The host may have died while the request was on the wire.
   if (!topo_->node_up(replica.host()) || !replica.serving()) {
-    attempt_transport_failed(req.id, target);
+    attempt_transport_failed(id, target);
     return;
   }
-  if (!replica.try_enqueue(req)) {
+  Request copy = p->req;
+  copy.trace.span_id = span;
+  if (!replica.try_enqueue(std::move(copy))) {
     // Admission control: shed, typed, terminal — never retried. With a
     // hedge twin still in flight the twin may yet complete the request; the
     // rejection becomes terminal only once the wave has no survivors.
-    p.rejected = true;
-    remove_attempt(p, target);
-    if (p.attempts.empty()) wave_exhausted(req.id);
+    p->rejected = true;
+    remove_attempt(*p, target);
+    if (p->attempts.empty()) wave_exhausted(id);
   }
 }
 
 void FrontDoor::replica_completed(const Request& req, ReplicaOutcome outcome,
                                   ReplicaId target) {
-  const auto it = pending_.find(req.id);
-  const bool stale = it == pending_.end() ||
-                     it->second.req.attempts != req.attempts;
+  Pending* const p = pending_.find(req.id);
+  const bool stale = p == nullptr || p->req.attempts != req.attempts;
   switch (outcome) {
     case ReplicaOutcome::kKilled:
       // Transport death is breaker evidence even for abandoned attempts.
@@ -293,11 +300,10 @@ void FrontDoor::replica_completed(const Request& req, ReplicaOutcome outcome,
       return;
     case ReplicaOutcome::kExpired: {
       if (stale) return;  // zombie expired in a queue: already abandoned
-      Pending& p = it->second;
-      p.expired = true;
+      p->expired = true;
       ++rstats_.deadline_queue_drops;
-      remove_attempt(p, target);
-      if (p.attempts.empty()) wave_exhausted(req.id);
+      remove_attempt(*p, target);
+      if (p->attempts.empty()) wave_exhausted(req.id);
       return;
     }
     case ReplicaOutcome::kServed:
@@ -310,12 +316,12 @@ void FrontDoor::replica_completed(const Request& req, ReplicaOutcome outcome,
     ++rstats_.wasted_responses;
     return;
   }
-  Pending& p = it->second;
   if (req.op == OpKind::kPut) {
     // Asynchronous replication: surviving sibling owners apply the write at
     // service-finish time; owners currently down simply miss it.
     const std::size_t r = std::min(params_.replication, replicas_.size());
-    for (const ReplicaId sibling : ring_.replicas(req.key, r).replicas) {
+    ring_.replicas(req.key, r, owners_);
+    for (const ReplicaId sibling : owners_.replicas) {
       if (sibling == target) continue;
       if (ring_.up(sibling) && topo_->node_up(replicas_[sibling]->host())) {
         replicas_[sibling]->store().put(req.key, req.value);
@@ -323,7 +329,7 @@ void FrontDoor::replica_completed(const Request& req, ReplicaOutcome outcome,
     }
   }
   sim::SimTime sent = 0;
-  for (const Attempt& a : p.attempts) {
+  for (const Attempt& a : p->attempts) {
     if (a.target == target) sent = a.sent;
   }
   const sim::Bytes payload =
@@ -339,12 +345,14 @@ void FrontDoor::replica_completed(const Request& req, ReplicaOutcome outcome,
                     sim_->now(), sim_->now() + delay,
                     static_cast<std::int64_t>(target));
   }
-  sim_->schedule_in(delay, [this, req, target, sent] {
-    response_arrived(req, target, sent);
+  sim_->schedule_in(delay, [this, id = req.id, wave = req.attempts,
+                             span = req.trace.span_id, target, sent] {
+    response_arrived(id, wave, span, target, sent);
   });
 }
 
-void FrontDoor::response_arrived(const Request& req, ReplicaId target,
+void FrontDoor::response_arrived(std::uint64_t id, int wave,
+                                 std::uint64_t span, ReplicaId target,
                                  sim::SimTime sent) {
   // Attempt RTT as the client saw it: gateway dispatch to gateway arrival.
   // Feeds the hedge-delay quantile and the target's breaker even when the
@@ -352,26 +360,27 @@ void FrontDoor::response_arrived(const Request& req, ReplicaId target,
   const double rtt_s = sim::to_seconds(sim_->now() - sent);
   hedge_delay_.record(rtt_s);
   breakers_[target].on_success(rtt_s, sim_->now());
-  const auto it = pending_.find(req.id);
-  if (it == pending_.end() || it->second.req.attempts != req.attempts) {
+  const Pending* p = pending_.find(id);
+  if (p == nullptr || p->req.attempts != wave) {
     ++rstats_.wasted_responses;  // hedge loser or abandoned attempt
     return;
   }
   // First response wins the wave and resolves the request.
-  for (const Attempt& a : it->second.attempts) {
+  for (const Attempt& a : p->attempts) {
     if (a.target == target && a.hedge) {
       ++rstats_.hedges_won;
       resilience_metrics::hedge_won();
     }
   }
+  const Request& req = p->req;
   auto& tracer = obs::RequestTracer::global();
   if (tracer.enabled() && req.trace.active()) {
-    // req.trace.span_id is the winning attempt's span (stamped at dispatch).
-    tracer.end_span(req.trace.trace_id, req.trace.span_id, sim_->now());
-    tracer.mark_won(req.trace.trace_id, req.trace.span_id);
+    // `span` is the winning attempt's span (stamped at dispatch).
+    tracer.end_span(req.trace.trace_id, span, sim_->now());
+    tracer.mark_won(req.trace.trace_id, span);
   }
   slo_.on_completed(req, sim_->now());
-  pending_.erase(it);
+  pending_.erase(id);
 }
 
 bool FrontDoor::remove_attempt(Pending& p, ReplicaId target) {
@@ -391,9 +400,9 @@ void FrontDoor::attempt_transport_failed(std::uint64_t id, ReplicaId target) {
 }
 
 void FrontDoor::on_attempt_timeout(std::uint64_t id, int wave) {
-  const auto it = pending_.find(id);
-  if (it == pending_.end() || it->second.req.attempts != wave) return;
-  Pending& p = it->second;
+  Pending* const found = pending_.find(id);
+  if (found == nullptr || found->req.attempts != wave) return;
+  Pending& p = *found;
   if (p.attempts.empty()) return;  // wave already exhausted; retry scheduled
   // Abandon every in-flight attempt of this wave: their responses (if any)
   // will arrive with a stale attempts value and be discarded. The attempts
@@ -407,9 +416,9 @@ void FrontDoor::on_attempt_timeout(std::uint64_t id, int wave) {
 }
 
 void FrontDoor::maybe_hedge(std::uint64_t id, int wave) {
-  const auto it = pending_.find(id);
-  if (it == pending_.end() || it->second.req.attempts != wave) return;
-  Pending& p = it->second;
+  Pending* const found = pending_.find(id);
+  if (found == nullptr || found->req.attempts != wave) return;
+  Pending& p = *found;
   if (p.hedged || p.attempts.empty()) return;
   const ReplicaId target = pick_target(p, /*hedge=*/true);
   if (target == kInvalidReplica) return;  // nobody distinct to race
@@ -501,11 +510,12 @@ void FrontDoor::resolve_failed(std::uint64_t id) {
 
 sim::SimTime FrontDoor::path_delay(net::NodeId from, net::NodeId to,
                                    sim::Bytes payload,
-                                   std::uint64_t flow_hash) const {
+                                   std::uint64_t flow_hash) {
   if (from == to) return 0;
   try {
+    router_->path(from, to, flow_hash, route_);
     sim::SimTime total = 0;
-    for (const net::LinkId link_id : router_->path(from, to, flow_hash)) {
+    for (const net::LinkId link_id : route_) {
       const net::Link& link = topo_->link(link_id);
       const sim::SimTime hop =
           link.latency + sim::serialization_time(payload, link.rate);
@@ -558,6 +568,59 @@ ResilienceStats FrontDoor::resilience_stats() const {
     out.breaker_denials += b.denials();
   }
   return out;
+}
+
+FrontDoor::Pending& FrontDoor::RequestTable::add(std::uint64_t id) {
+  if (id < end_)
+    throw std::logic_error{"FrontDoor::RequestTable: ids must increase"};
+  if (oldest_ == end_) oldest_ = id;  // empty: the window restarts at id
+  end_ = id + 1;
+  if (end_ - oldest_ > ring_.size()) {
+    // Grow to cover the live window; re-place each live id's index.
+    std::size_t size = ring_.size();
+    while (end_ - oldest_ > size) size *= 2;
+    std::vector<std::uint32_t> old(size, kNone);
+    old.swap(ring_);
+    for (std::uint64_t i = oldest_; i < id; ++i) {
+      entry(i) = old[i & (old.size() - 1)];
+    }
+  }
+  std::uint32_t index;
+  if (free_.empty()) {
+    index = static_cast<std::uint32_t>(pool_.size());
+    pool_.emplace_back();
+  } else {
+    index = free_.back();
+    free_.pop_back();
+  }
+  entry(id) = index;
+  Pending& p = pool_[index];
+  p.attempts.clear();
+  p.hedged = false;
+  p.rejected = false;
+  p.expired = false;
+  return p;
+}
+
+FrontDoor::Pending* FrontDoor::RequestTable::find(std::uint64_t id) noexcept {
+  if (id < oldest_ || id >= end_) return nullptr;
+  const std::uint32_t index = entry(id);
+  return index == kNone ? nullptr : &pool_[index];
+}
+
+FrontDoor::Pending& FrontDoor::RequestTable::at(std::uint64_t id) {
+  Pending* const p = find(id);
+  if (p == nullptr)
+    throw std::logic_error{"FrontDoor::RequestTable: unknown request"};
+  return *p;
+}
+
+void FrontDoor::RequestTable::erase(std::uint64_t id) noexcept {
+  if (id < oldest_ || id >= end_ || entry(id) == kNone) return;
+  free_.push_back(entry(id));
+  entry(id) = kNone;
+  // Slide the window's start past every resolved id.
+  while (oldest_ < end_ && entry(oldest_) == kNone) ++oldest_;
 }
 
 double estimated_capacity_qps(const FrontDoorParams& params,

@@ -44,6 +44,15 @@
 // (completed + rejected + failed == issued) holds for every configuration —
 // chaos, hedging, timeouts and gray failures included — and is
 // test-asserted.
+//
+// The request path allocates little in steady state. In-flight requests
+// live in a RequestTable the front door owns: a pool of reused records
+// (each keeps its attempt list's and strings' capacity) behind a ring of
+// pool indices that covers only the window of live ids. Event lambdas
+// capture ids, not Request copies: an attempt carries (id, wave, target,
+// attempt span), and the request is copied from the table when the attempt
+// reaches its replica; a response carries (id, wave, span, target, sent).
+// Owner lookups, the live-owner list and route lookups fill reused buffers.
 
 #include <cstdint>
 #include <map>
@@ -157,9 +166,40 @@ class FrontDoor {
     bool expired = false;           // an attempt expired in a replica queue
   };
 
+  /// In-flight requests by id. Records sit in a pool and are reused; a
+  /// power-of-two ring of pool indices, addressed by id, covers the ids
+  /// from the oldest live one to the newest. Ids are added in increasing
+  /// order, so the ring grows with the live window, not with the run.
+  /// References to records stay valid until the next add().
+  class RequestTable {
+   public:
+    /// A record for `id`, which must exceed every id added before. Its
+    /// attempt list is empty and its flags are clear; `req` keeps the
+    /// previous tenant's fields (and string capacity) for the caller to
+    /// overwrite.
+    Pending& add(std::uint64_t id);
+    /// The live record of `id`, or nullptr once it was erased.
+    Pending* find(std::uint64_t id) noexcept;
+    /// The live record of `id`; throws std::logic_error if there is none.
+    Pending& at(std::uint64_t id);
+    void erase(std::uint64_t id) noexcept;
+
+   private:
+    static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+    std::uint32_t& entry(std::uint64_t id) noexcept {
+      return ring_[id & (ring_.size() - 1)];
+    }
+    std::vector<Pending> pool_;
+    std::vector<std::uint32_t> free_;  // pool indices of erased records
+    std::vector<std::uint32_t> ring_ = std::vector<std::uint32_t>(64, kNone);
+    std::uint64_t oldest_ = 0;  // no id below this is live
+    std::uint64_t end_ = 0;     // one past the newest id added
+  };
+
   void schedule_next_arrival();
   void issue();
-  Request make_request();
+  /// Overwrite `req` with the next request of the client population.
+  void make_request(Request& req);
   /// Launch the current retry wave of `id`: one attempt, plus hedge/timeout
   /// timers as configured.
   void start_wave(std::uint64_t id);
@@ -168,12 +208,15 @@ class FrontDoor {
   /// Preferred-order live owners for the wave, breaker-filtered. Returns
   /// kInvalidReplica when nothing is sendable.
   ReplicaId pick_target(const Pending& p, bool hedge);
-  void deliver(Request req, ReplicaId target);
+  /// Attempt `wave` of `id` reached `target`; `span` is its attempt span.
+  void deliver(std::uint64_t id, int wave, ReplicaId target,
+               std::uint64_t span);
   void replica_completed(const Request& req, ReplicaOutcome outcome,
                          ReplicaId target);
-  /// Response for (req-copy, target) reached the gateway.
-  void response_arrived(const Request& req, ReplicaId target,
-                        sim::SimTime sent);
+  /// The response of attempt `wave` of `id` (attempt span `span`, sent to
+  /// `target` at `sent`) reached the gateway.
+  void response_arrived(std::uint64_t id, int wave, std::uint64_t span,
+                        ReplicaId target, sim::SimTime sent);
   /// The attempt to `target` died in transport (unreachable / killed).
   void attempt_transport_failed(std::uint64_t id, ReplicaId target);
   void on_attempt_timeout(std::uint64_t id, int wave);
@@ -189,7 +232,7 @@ class FrontDoor {
   /// currently unreachable. Gray-degraded links/endpoints stretch both the
   /// propagation and serialization terms.
   sim::SimTime path_delay(net::NodeId from, net::NodeId to,
-                          sim::Bytes payload, std::uint64_t flow_hash) const;
+                          sim::Bytes payload, std::uint64_t flow_hash);
   std::string key_string(std::size_t index) const;
 
   sim::Simulator* sim_;
@@ -207,9 +250,13 @@ class FrontDoor {
   std::vector<CircuitBreaker> breakers_;  // one per replica
   HedgeDelayTracker hedge_delay_;
   ResilienceStats rstats_;
-  std::map<std::uint64_t, Pending> pending_;
+  RequestTable pending_;
   std::uint64_t next_request_id_ = 1;
   bool started_ = false;
+  // Reused buffers: the key's owners, the live ones among them, and a route.
+  Placement owners_;
+  std::vector<ReplicaId> live_owners_;
+  std::vector<net::LinkId> route_;
 };
 
 /// Ideal aggregate service capacity (requests/s) of `replica_count` replicas

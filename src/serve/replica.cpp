@@ -137,7 +137,9 @@ void ReplicaServer::finish_batch(std::uint64_t generation) {
   // A death between scheduling and firing already reported these requests
   // as killed; the stale event must do nothing.
   if (generation != generation_) return;
-  std::vector<Request> done;
+  // Walk the batch from a local, swapping in the spare buffer, so both keep
+  // their capacity while a re-entrant callback may start the next batch.
+  std::vector<Request> done = std::move(spare_batch_);
   done.swap(batch_);
   const sim::SimTime started = batch_started_;
   auto& tracer = obs::RequestTracer::global();
@@ -160,6 +162,8 @@ void ReplicaServer::finish_batch(std::uint64_t generation) {
     ++served_;
     if (completion_) completion_(req, ReplicaOutcome::kServed);
   }
+  done.clear();
+  spare_batch_ = std::move(done);
   if (obs::enabled())
     queue_gauge(id_)->set(static_cast<double>(queue_depth()));
   maybe_start_batch();

@@ -122,6 +122,9 @@ class ReplicaServer {
   Completion completion_;
   std::deque<Request> queue_;
   std::vector<Request> batch_;  // in service; empty when idle
+  /// The other batch buffer: finish_batch walks one while batch_ holds the
+  /// other, so neither gives up its capacity.
+  std::vector<Request> spare_batch_;
   bool up_ = true;
   double slowdown_ = 1.0;
   sim::SimTime batch_started_ = 0;  // queue/service split for tracing

@@ -60,9 +60,10 @@ std::uint64_t HashRing::key_position(std::string_view key) noexcept {
   return sim::fnv1a64(key, 0x5e7f1a9bd3c24e68ULL);
 }
 
-Placement HashRing::replicas(std::string_view key, std::size_t r) const {
+void HashRing::replicas(std::string_view key, std::size_t r,
+                        Placement& out) const {
   if (ring_.empty()) throw std::logic_error{"HashRing: empty ring"};
-  Placement out;
+  out.replicas.clear();
   const std::uint64_t pos = key_position(key);
   auto it = ring_.lower_bound(pos);
   if (it == ring_.end()) it = ring_.begin();
@@ -79,17 +80,20 @@ Placement HashRing::replicas(std::string_view key, std::size_t r) const {
     ++it;
     if (it == ring_.end()) it = ring_.begin();
   }
-  return out;
 }
 
 ReplicaId HashRing::primary(std::string_view key) const {
-  return replicas(key, 1).replicas.front();
+  Placement placement;
+  replicas(key, 1, placement);
+  return placement.replicas.front();
 }
 
 std::vector<ReplicaId> HashRing::live_replicas(std::string_view key,
                                                std::size_t r) const {
+  Placement placement;
+  replicas(key, r, placement);
   std::vector<ReplicaId> live;
-  for (const ReplicaId id : replicas(key, r).replicas) {
+  for (const ReplicaId id : placement.replicas) {
     if (nodes_.at(id)) live.push_back(id);
   }
   return live;

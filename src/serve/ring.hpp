@@ -48,10 +48,11 @@ class HashRing {
   std::size_t node_count() const noexcept { return nodes_.size(); }
   std::size_t vnodes_per_node() const noexcept { return vnodes_; }
 
-  /// The key's shard and its first min(r, node_count) distinct owners,
-  /// regardless of up/down state (ownership is a membership property).
-  /// Throws std::logic_error on an empty ring.
-  Placement replicas(std::string_view key, std::size_t r) const;
+  /// Overwrite `out` with the key's shard and its first min(r, node_count)
+  /// distinct owners, regardless of up/down state (ownership is a
+  /// membership property). Filling a caller's Placement lets a hot caller
+  /// reuse one buffer. Throws std::logic_error on an empty ring.
+  void replicas(std::string_view key, std::size_t r, Placement& out) const;
 
   /// First owner (replicas(key, 1)); throws std::logic_error when empty.
   ReplicaId primary(std::string_view key) const;

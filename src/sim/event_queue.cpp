@@ -1,33 +1,82 @@
 #include "sim/event_queue.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace rb::sim {
-
-bool EventHandle::cancel() noexcept {
-  if (!state_ || state_->cancelled || state_->fired) return false;
-  state_->cancelled = true;
-  return true;
-}
-
-bool EventHandle::pending() const noexcept {
-  return state_ && !state_->cancelled && !state_->fired;
-}
 
 EventHandle EventQueue::schedule(SimTime when, EventFn fn) {
   if (when < last_popped_)
     throw std::invalid_argument{"EventQueue::schedule: time in the past"};
   if (!fn) throw std::invalid_argument{"EventQueue::schedule: empty function"};
-  auto state = std::make_shared<EventHandle::State>();
-  heap_.push(Entry{when, next_seq_++, std::move(fn), state});
-  ++live_;
-  return EventHandle{std::move(state)};
+  std::uint32_t slot = free_head_;
+  if (slot != kNoSlot) {
+    free_head_ = slots_[slot].next_free;
+  } else {
+    if (slots_.size() >= kNoSlot)
+      throw std::length_error{"EventQueue::schedule: too many events"};
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  }
+  Slot& s = slots_[slot];
+  s.fn = std::move(fn);
+  push(Entry{when, next_seq_++, slot, s.generation});
+  return EventHandle{this, slot, s.generation};
 }
 
-void EventQueue::drop_dead() const {
-  while (!heap_.empty() && heap_.top().state->cancelled) {
-    heap_.pop();
-    --live_;
+bool EventQueue::cancel(std::uint32_t slot, std::uint32_t generation) noexcept {
+  if (!live(slot, generation)) return false;
+  // Free the slot before the callable's captures are destroyed, so the
+  // queue is consistent whatever their destructors do.
+  const EventFn dropped = std::move(slots_[slot].fn);
+  free_slot(slot);
+  return true;
+}
+
+void EventQueue::free_slot(std::uint32_t slot) noexcept {
+  Slot& s = slots_[slot];
+  ++s.generation;
+  s.next_free = free_head_;
+  free_head_ = slot;
+}
+
+void EventQueue::push(const Entry& e) {
+  std::size_t i = heap_.size();
+  heap_.push_back(e);
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 4;
+    if (!earlier(e, heap_[parent])) break;
+    heap_[i] = heap_[parent];
+    i = parent;
+  }
+  heap_[i] = e;
+}
+
+void EventQueue::pop_top() const noexcept {
+  const Entry last = heap_.back();
+  heap_.pop_back();
+  const std::size_t n = heap_.size();
+  if (n == 0) return;
+  std::size_t i = 0;
+  for (;;) {
+    const std::size_t first = 4 * i + 1;
+    if (first >= n) break;
+    const std::size_t end = std::min(first + 4, n);
+    std::size_t best = first;
+    for (std::size_t c = first + 1; c < end; ++c) {
+      if (earlier(heap_[c], heap_[best])) best = c;
+    }
+    if (!earlier(heap_[best], last)) break;
+    heap_[i] = heap_[best];
+    i = best;
+  }
+  heap_[i] = last;
+}
+
+void EventQueue::drop_dead() const noexcept {
+  while (!heap_.empty() &&
+         !live(heap_.front().slot, heap_.front().generation)) {
+    pop_top();
   }
 }
 
@@ -39,21 +88,18 @@ bool EventQueue::empty() const noexcept {
 SimTime EventQueue::next_time() const {
   drop_dead();
   if (heap_.empty()) throw std::logic_error{"EventQueue::next_time: empty"};
-  return heap_.top().when;
+  return heap_.front().when;
 }
 
 std::pair<SimTime, EventFn> EventQueue::pop() {
   drop_dead();
   if (heap_.empty()) throw std::logic_error{"EventQueue::pop: empty"};
-  // priority_queue::top() is const; we move out via const_cast, which is
-  // safe because we pop the entry immediately afterwards.
-  auto& top = const_cast<Entry&>(heap_.top());
-  auto result = std::make_pair(top.when, std::move(top.fn));
-  top.state->fired = true;
+  const Entry top = heap_.front();
+  pop_top();
   last_popped_ = top.when;
-  heap_.pop();
-  --live_;
-  return result;
+  std::pair<SimTime, EventFn> out{top.when, std::move(slots_[top.slot].fn)};
+  free_slot(top.slot);
+  return out;
 }
 
 }  // namespace rb::sim

@@ -8,6 +8,12 @@
 // Event callbacks may schedule further events. The simulator is
 // single-threaded by design; parallelism in rethinkbig lives in the
 // dataflow/accel layers, not in the simulation kernel.
+//
+// Scheduling allocates nothing in steady state (see event_queue.hpp): the
+// callable moves into a slot of the queue's arena when its capture fits in
+// EventFn's 64 inline bytes. The returned EventHandle points into this
+// simulator, so a handle must not be used after its Simulator is destroyed;
+// the simulator cannot be copied or moved for the same reason.
 
 #include <cstdint>
 

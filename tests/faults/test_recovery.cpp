@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "faults/injector.hpp"
 #include "faults/plan.hpp"
@@ -16,6 +17,13 @@
 
 namespace rb {
 namespace {
+
+std::vector<net::LinkId> route_of(const net::Router& router, net::NodeId src,
+                                  net::NodeId dst, std::uint64_t flow_hash) {
+  std::vector<net::LinkId> links;
+  router.path(src, dst, flow_hash, links);
+  return links;
+}
 
 /// Diamond: src - {sw1, sw2} - dst. Two disjoint equal-cost paths.
 struct Diamond {
@@ -46,7 +54,7 @@ TEST(RouterRecovery, RecomputesAroundDeadLinkAndBack) {
   d.topo.set_link_up(d.src_sw1, false);
   EXPECT_EQ(router.distance(d.src, d.dst), 2);
   for (std::uint64_t h = 0; h < 16; ++h) {
-    const auto path = router.path(d.src, d.dst, h);
+    const auto path = route_of(router, d.src, d.dst, h);
     ASSERT_EQ(path.size(), 2u);
     EXPECT_EQ(path[0], d.src_sw2);
     EXPECT_EQ(path[1], d.sw2_dst);
@@ -63,7 +71,7 @@ TEST(RouterRecovery, RecomputesAroundDeadLinkAndBack) {
   EXPECT_EQ(router.distance(d.src, d.dst), 2);
   bool used_sw1 = false, used_sw2 = false;
   for (std::uint64_t h = 0; h < 64; ++h) {
-    const auto path = router.path(d.src, d.dst, h);
+    const auto path = route_of(router, d.src, d.dst, h);
     used_sw1 |= path[0] == d.src_sw1;
     used_sw2 |= path[0] == d.src_sw2;
   }
@@ -75,13 +83,13 @@ TEST(RouterRecovery, RecomputesAroundDeadSwitch) {
   Diamond d;
   net::Router router{d.topo};
   d.topo.set_node_up(d.sw1, false);
-  const auto path = router.path(d.src, d.dst, 123);
+  const auto path = route_of(router, d.src, d.dst, 123);
   ASSERT_EQ(path.size(), 2u);
   EXPECT_EQ(path[0], d.src_sw2);
   d.topo.set_node_up(d.sw2, false);
-  EXPECT_THROW(router.path(d.src, d.dst, 123), net::NoRouteError);
+  EXPECT_THROW(route_of(router, d.src, d.dst, 123), net::NoRouteError);
   d.topo.set_node_up(d.sw1, true);
-  EXPECT_EQ(router.path(d.src, d.dst, 123)[0], d.src_sw1);
+  EXPECT_EQ(route_of(router, d.src, d.dst, 123)[0], d.src_sw1);
 }
 
 TEST(FlowRecovery, MidFlightRerouteOntoSurvivingPath) {
@@ -98,7 +106,7 @@ TEST(FlowRecovery, MidFlightRerouteOntoSurvivingPath) {
                       last = r;
                       finished = true;
                     });
-  const auto taken = router.path(d.src, d.dst, sim::mix64(1));
+  const auto taken = route_of(router, d.src, d.dst, sim::mix64(1));
   // Kill the first link of the path it chose, mid-transfer; repair later.
   faults::FaultPlan plan;
   plan.add_link_outage(taken[0], sim::from_seconds(0.05),

@@ -236,8 +236,10 @@ std::vector<std::uint64_t> directed_path(const Topology& topo,
                                          const Router& router, FlowId id,
                                          NodeId src, NodeId dst) {
   std::vector<std::uint64_t> dpath;
+  std::vector<LinkId> links;
+  router.path(src, dst, sim::mix64(id), links);
   NodeId at = src;
-  for (const LinkId link_id : router.path(src, dst, sim::mix64(id))) {
+  for (const LinkId link_id : links) {
     const Link& link = topo.link(link_id);
     const std::uint64_t dir = (link.a == at) ? 0 : 1;
     dpath.push_back((static_cast<std::uint64_t>(link_id) << 1) | dir);

@@ -17,6 +17,13 @@ std::vector<std::string> make_keys(std::size_t n) {
   return keys;
 }
 
+Placement placement_of(const HashRing& ring, std::string_view key,
+                       std::size_t r) {
+  Placement out;
+  ring.replicas(key, r, out);
+  return out;
+}
+
 TEST(HashRing, RejectsDegenerateConfigs) {
   EXPECT_THROW(HashRing{0}, std::invalid_argument);
   HashRing ring{4};
@@ -29,8 +36,8 @@ TEST(HashRing, RejectsDegenerateConfigs) {
 TEST(HashRing, PlacementIsDeterministicAndDistinct) {
   HashRing ring{64};
   for (ReplicaId id = 0; id < 8; ++id) ring.add_node(id);
-  const auto p1 = ring.replicas("hello", 3);
-  const auto p2 = ring.replicas("hello", 3);
+  const auto p1 = placement_of(ring, "hello", 3);
+  const auto p2 = placement_of(ring, "hello", 3);
   EXPECT_EQ(p1.shard, p2.shard);
   EXPECT_EQ(p1.replicas, p2.replicas);
   ASSERT_EQ(p1.replicas.size(), 3u);
@@ -38,11 +45,22 @@ TEST(HashRing, PlacementIsDeterministicAndDistinct) {
   EXPECT_EQ(distinct.size(), 3u);
 }
 
+TEST(HashRing, ReusedPlacementIsOverwritten) {
+  HashRing ring{64};
+  for (ReplicaId id = 0; id < 8; ++id) ring.add_node(id);
+  Placement reused;
+  ring.replicas("hello", 3, reused);
+  ring.replicas("other", 1, reused);
+  const auto fresh = placement_of(ring, "other", 1);
+  EXPECT_EQ(reused.shard, fresh.shard);
+  EXPECT_EQ(reused.replicas, fresh.replicas);
+}
+
 TEST(HashRing, ReplicationCappedAtMembership) {
   HashRing ring{16};
   ring.add_node(0);
   ring.add_node(1);
-  EXPECT_EQ(ring.replicas("k", 5).replicas.size(), 2u);
+  EXPECT_EQ(placement_of(ring, "k", 5).replicas.size(), 2u);
 }
 
 /// Property: with 64 vnodes per node, every node's share of a large key
@@ -99,12 +117,12 @@ TEST(HashRing, JoinMovesAboutOneOverNKeys) {
 TEST(HashRing, EjectionSkipsDownNodesButKeepsOwnership) {
   HashRing ring{32};
   for (ReplicaId id = 0; id < 4; ++id) ring.add_node(id);
-  const auto owners = ring.replicas("some-key", 3).replicas;
+  const auto owners = placement_of(ring, "some-key", 3).replicas;
   ASSERT_EQ(owners.size(), 3u);
 
   ring.set_up(owners[0], false);
   // Ownership unchanged while down...
-  EXPECT_EQ(ring.replicas("some-key", 3).replicas, owners);
+  EXPECT_EQ(placement_of(ring, "some-key", 3).replicas, owners);
   // ...but lookups skip the down node.
   const auto live = ring.live_replicas("some-key", 3);
   ASSERT_EQ(live.size(), 2u);
