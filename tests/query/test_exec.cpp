@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <stdexcept>
 #include <string>
 
@@ -328,7 +329,7 @@ TEST(LsmTable, RejectsBadNames) {
 
 /// Stores people() and rewrites the record under `key` with `edit`
 /// applied, using the documented "t!<table>!s" (schema) and
-/// "t!<table>!r!<rowid %010u>" (row) key layout.
+/// "t!<table>!g!<group %010u>" (row group) key layout.
 template <typename Edit>
 void store_people_with_edited_record(storage::LsmStore& store,
                                      const std::string& key, Edit edit) {
@@ -339,20 +340,66 @@ void store_people_with_edited_record(storage::LsmStore& store,
   store.put(key, *value);
 }
 
-constexpr const char* kPeopleRow1 = "t!people!r!0000000001";
+/// people() fits one group: a u32 row count, the "name" section (a u32
+/// length, then u32-prefixed strings), then 8 bytes a row of "age" and of
+/// "team".
+constexpr const char* kPeopleGroup0 = "t!people!g!0000000000";
+
+/// Both readers of the stored table reject it.
+void expect_corrupt(const storage::LsmStore& store) {
+  EXPECT_THROW(load_table(store, "people"), std::runtime_error);
+  EXPECT_THROW(PlanBuilder(store, "people").build().run(), std::runtime_error);
+}
 
 TEST(LsmTable, TruncatedRowThrows) {
   storage::LsmStore store{storage::LsmOptions{}};
-  store_people_with_edited_record(store, kPeopleRow1,
+  store_people_with_edited_record(store, kPeopleGroup0,
                                   [](std::string& v) { v.pop_back(); });
-  EXPECT_THROW(load_table(store, "people"), std::runtime_error);
+  expect_corrupt(store);
 }
 
 TEST(LsmTable, RowWithTrailingBytesThrows) {
   storage::LsmStore store{storage::LsmOptions{}};
-  store_people_with_edited_record(store, kPeopleRow1,
+  store_people_with_edited_record(store, kPeopleGroup0,
                                   [](std::string& v) { v.push_back('x'); });
-  EXPECT_THROW(load_table(store, "people"), std::runtime_error);
+  expect_corrupt(store);
+}
+
+TEST(LsmTable, RowCountPastIntSectionThrows) {
+  storage::LsmStore store{storage::LsmOptions{}};
+  // Five rows: the "team" section comes up 8 bytes short.
+  store_people_with_edited_record(store, kPeopleGroup0, [](std::string& v) {
+    ASSERT_EQ(v.at(0), 4);
+    v[0] = 5;
+  });
+  expect_corrupt(store);
+}
+
+TEST(LsmTable, StringSectionPastValueThrows) {
+  storage::LsmStore store{storage::LsmOptions{}};
+  // The top byte of the "name" section length: ~2 GiB.
+  store_people_with_edited_record(store, kPeopleGroup0,
+                                  [](std::string& v) { v.at(7) = 0x7f; });
+  expect_corrupt(store);
+}
+
+TEST(LsmTable, StringSectionWithTrailingBytesThrows) {
+  storage::LsmStore store{storage::LsmOptions{}};
+  // One byte more in the 28-byte "name" section than its four strings use.
+  store_people_with_edited_record(store, kPeopleGroup0, [](std::string& v) {
+    ASSERT_EQ(v.at(4), 28);
+    v[4] = 29;
+    v.insert(8 + 28, 1, 'x');
+  });
+  expect_corrupt(store);
+}
+
+TEST(LsmTable, ZeroRowGroupThrows) {
+  storage::LsmStore store{storage::LsmOptions{}};
+  // A well-formed group of no rows: the count and an empty "name" section.
+  store_people_with_edited_record(store, kPeopleGroup0,
+                                  [](std::string& v) { v.assign(8, '\0'); });
+  expect_corrupt(store);
 }
 
 TEST(LsmTable, UnknownSchemaTagThrows) {
@@ -366,19 +413,50 @@ TEST(LsmTable, UnknownSchemaTagThrows) {
   EXPECT_THROW(load_table(store, "people"), std::runtime_error);
 }
 
+/// `rows` rows of an int column "v", spread over all 64 bits, and a string
+/// column "s" of 0-8 letters. Row i does not depend on `rows`, so a shorter
+/// table is a prefix of a longer one; another `salt` gives other values.
+/// A full group of it is ~16 KiB.
+Table int_string_table(std::size_t rows, std::uint64_t salt = 0) {
+  std::vector<std::int64_t> v;
+  std::vector<std::string> s;
+  for (std::uint64_t i = 0; i < rows; ++i) {
+    const std::uint64_t x = (i + salt * 1'000'003) * 0x9E3779B97F4A7C15ULL;
+    v.push_back(static_cast<std::int64_t>(x));
+    s.emplace_back((x >> 40) % 9, static_cast<char>('a' + (x >> 8) % 26));
+  }
+  Table t;
+  t.add_int_column("v", std::move(v));
+  t.add_string_column("s", std::move(s));
+  return t;
+}
+
+/// Memtable bound under one full group of int_string_table: every full
+/// group flushes (and rotates the WAL) as it is stored.
+constexpr std::size_t kGroupFlushBytes = 8 << 10;
+
+/// A filter → group-by plan and a limit plan over an int_string_table.
+Plan group_report(PlanBuilder b) {
+  return b.filter_int("v", [](std::int64_t v) { return v % 3 != 0; })
+      .group_by("s", Aggregate::kSum, "v", "total")
+      .build();
+}
+Plan first_ten(PlanBuilder b) { return b.limit(10).build(); }
+
 TEST(LsmTable, StoringAgainReplacesTheTable) {
   storage::LsmOptions opts;
-  opts.memtable_bytes = 128;  // the first table's rows reach the runs
+  opts.memtable_bytes = kGroupFlushBytes;
   storage::LsmStore store{opts};
-  Table five;
-  five.add_int_column("v", {1, 2, 3, 4, 5});
-  store_table(store, "t", five);
-  Table two;
-  two.add_int_column("v", {10, 20});
+  const Table three = int_string_table(2 * kGroupRows + 1, 1);
+  const Table two = int_string_table(kGroupRows + 1, 2);
+  store_table(store, "t", three);
+  EXPECT_GE(store.stats().flushes, 2u);  // its groups reach the runs
   store_table(store, "t", two);
   expect_tables_equal(load_table(store, "t"), two);
-  // A new schema drops rows that would not decode under it.
-  store_table(store, "t", five);
+  EXPECT_FALSE(store.get("t!t!g!0000000002").has_value());
+  store_table(store, "t", three);
+  expect_tables_equal(load_table(store, "t"), three);
+  // A new schema drops groups that would not decode under it.
   store_table(store, "t", people());
   expect_tables_equal(load_table(store, "t"), people());
 }
@@ -399,68 +477,130 @@ TEST(LsmTable, ScanIsByteIdenticalToInMemoryPlan) {
   EXPECT_EQ(stats.source_rows, 4u);
 }
 
+TEST(LsmTable, GroupBoundariesMatchInMemoryPlans) {
+  for (const std::size_t rows : {0, 1, 1023, 1024, 1025, 2049}) {
+    SCOPED_TRACE("rows " + std::to_string(rows));
+    const Table table = int_string_table(rows);
+    storage::LsmStore store{storage::LsmOptions{}};
+    store_table(store, "t", table);
+    expect_tables_equal(load_table(store, "t"), table);
+    for (const std::size_t batch : {1, 3, 64, 1000, 1024, 4096}) {
+      SCOPED_TRACE("batch " + std::to_string(batch));
+      ExecOptions opts;
+      opts.batch_size = batch;
+      for (const auto plan : {group_report, first_ten}) {
+        ExecStats lsm, mem;
+        expect_tables_equal(plan(PlanBuilder{store, "t"}).run(opts, &lsm),
+                            plan(PlanBuilder{table}).run(opts, &mem));
+        EXPECT_EQ(lsm.source_rows, mem.source_rows);
+      }
+    }
+  }
+}
+
 TEST(LsmTable, PlansReadOnlyTheirOwnTable) {
   storage::LsmOptions opts;
-  opts.memtable_bytes = 256;  // flushes and compactions between the stores
+  opts.memtable_bytes = kGroupFlushBytes;
   storage::LsmStore store{opts};
-  Table other;
-  other.add_string_column("name", {"eve", "fay", "gus"});
-  other.add_int_column("age", {41, 19, 25});
-  other.add_int_column("team", {3, 3, 2});
+  const Table src = int_string_table(3 * kGroupRows, 1);
+  const Table src2 = int_string_table(2 * kGroupRows + 7, 2);
+  const Table other = int_string_table(kGroupRows + 3, 3);
   // "src2" shares "src"'s name as a prefix, so its keys sort right after.
-  store_table(store, "src", people());
-  store_table(store, "src2", people());
+  store_table(store, "src", src);
+  store_table(store, "src2", src2);
   store.flush();
-  // The newest "src" rows overwrite the flushed ones from the memtable, and
-  // its fourth row, next to "src2"'s first, is erased.
+  // Five full groups flushed, so the runs were compacted.
+  EXPECT_GE(store.stats().flushes, 5u);
+  EXPECT_GE(store.stats().compactions, 1u);
+  // The newest "src" groups shadow the ones in the runs, and its third
+  // group, next to "src2"'s first, is erased.
   store_table(store, "src", other);
-  const auto report = [](PlanBuilder b) {
-    return b.filter_int("age", [](std::int64_t a) { return a > 20; })
-        .group_by("team", Aggregate::kSum, "age", "total")
-        .order_by("total", true)
-        .build();
-  };
-  const auto first = [](PlanBuilder b) { return b.limit(2).build(); };
   for (const auto& [name, table] :
-       {std::pair<std::string, Table>{"src", other}, {"src2", people()}}) {
-    expect_tables_equal(report(PlanBuilder{store, name}).run(),
-                        report(PlanBuilder{table}).run());
-    expect_tables_equal(first(PlanBuilder{store, name}).run(),
-                        first(PlanBuilder{table}).run());
+       {std::pair<std::string, Table>{"src", other}, {"src2", src2}}) {
+    expect_tables_equal(group_report(PlanBuilder{store, name}).run(),
+                        group_report(PlanBuilder{table}).run());
+    expect_tables_equal(first_ten(PlanBuilder{store, name}).run(),
+                        first_ten(PlanBuilder{table}).run());
     expect_tables_equal(load_table(store, name), table);
   }
 }
 
 TEST(LsmTable, SurvivesFlushToSSTables) {
   storage::LsmOptions opts;
-  opts.memtable_bytes = 256;  // force SSTable flushes mid-write
+  opts.memtable_bytes = kGroupFlushBytes;
   storage::LsmStore store{opts};
-  Table t;
-  std::vector<std::int64_t> k, v;
-  for (std::int64_t i = 0; i < 200; ++i) {
-    k.push_back(i % 5);
-    v.push_back(i);
-  }
-  t.add_int_column("k", std::move(k));
-  t.add_int_column("v", std::move(v));
+  const Table t = int_string_table(5 * kGroupRows + 200);
   store_table(store, "wide", t);
+  EXPECT_GE(store.stats().flushes, 5u);  // one per full group, mid-write
   store.flush();
   expect_tables_equal(load_table(store, "wide"), t);
 }
 
 TEST(LsmTable, SurvivesCrashRecoveryOnDurableStore) {
+  // Two full groups flush, rotating the WAL; the partial third stays in it.
+  const Table t = int_string_table(2 * kGroupRows + 100);
   storage::MemDevice device;
   {
     storage::LsmOptions opts;
-    opts.memtable_bytes = 256;  // flushes + WAL rotations mid-store
+    opts.memtable_bytes = kGroupFlushBytes;
     storage::LsmStore store{opts, device};
-    store_table(store, "people", people());  // syncs internally
+    store_table(store, "t", t);  // syncs internally
+    EXPECT_EQ(store.stats().flushes, 2u);
   }
   // Power loss: only fsynced state survives. store_table group-committed
   // the whole table, so the recovered store serves it byte-identically.
   device.reopen();
   storage::LsmStore recovered{storage::LsmOptions{}, device};
-  expect_tables_equal(load_table(recovered, "people"), people());
+  EXPECT_GE(recovered.recovery_info().wal_records_replayed, 1u);
+  expect_tables_equal(load_table(recovered, "t"), t);
+}
+
+TEST(LsmTable, CrashMidStoreLeavesWholeGroupPrefix) {
+  const Table t = int_string_table(2 * kGroupRows + 500);  // three groups
+  storage::LsmOptions opts;
+  opts.memtable_bytes = kGroupFlushBytes;
+  std::uint64_t device_ops = 0;
+  {
+    storage::MemDevice device;
+    storage::LsmStore store{opts, device};
+    store_table(store, "t", t);
+    EXPECT_EQ(store.stats().flushes, 2u);
+    device_ops = device.ops();
+  }
+  // Recovered row counts; -1 is no table.
+  std::set<std::int64_t> seen;
+  for (const std::uint64_t tear : {0, 1, 7}) {
+    for (std::uint64_t op = 0; op < device_ops; ++op) {
+      SCOPED_TRACE("op " + std::to_string(op) + " tear " +
+                   std::to_string(tear));
+      faults::StorageFaultPlan plan;
+      plan.crash_at(op, tear);
+      storage::MemDevice device{std::move(plan)};
+      try {
+        storage::LsmStore store{opts, device};
+        store_table(store, "t", t);
+        ADD_FAILURE() << "the device did not crash";
+      } catch (const storage::DeviceCrashed&) {
+      }
+      device.reopen();
+      const storage::LsmStore recovered{opts, device};
+      Table got;
+      try {
+        got = load_table(recovered, "t");
+      } catch (const std::invalid_argument&) {  // no schema record
+        seen.insert(-1);
+        continue;
+      }
+      const std::size_t rows = got.row_count();
+      EXPECT_TRUE(rows % kGroupRows == 0 || rows == t.row_count()) << rows;
+      expect_tables_equal(got, int_string_table(rows));
+      seen.insert(static_cast<std::int64_t>(rows));
+    }
+  }
+  // The schema reaches the runs with the first group's flush, and the
+  // partial third group stays in the WAL until the final sync, the last
+  // device op: a crash recovers no table or one or two flushed groups.
+  EXPECT_EQ(seen, (std::set<std::int64_t>{-1, 1024, 2048}));
 }
 
 /// --- HashJoin and GroupAggregate --------------------------------------

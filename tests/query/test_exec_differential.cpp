@@ -154,11 +154,14 @@ TEST(Differential, RandomPlansByteIdenticalAcrossBatchSizes) {
 TEST(Differential, LsmBackedScanByteIdentical) {
   for (std::uint64_t seed = 100; seed < 120; ++seed) {
     sim::Rng rng{seed};
-    const auto source = random_table(rng, 1 + rng.uniform_index(200));
+    // Up to three row groups, the last one partial.
+    const auto source =
+        random_table(rng, 1 + rng.uniform_index(3 * kGroupRows));
     storage::LsmOptions lsm_opts;
-    lsm_opts.memtable_bytes = 1 << 12;  // several flushes per table
+    lsm_opts.memtable_bytes = 1 << 12;  // every full group flushes
     storage::LsmStore store{lsm_opts};
     store_table(store, "src", source);
+    EXPECT_GE(store.stats().flushes, source.row_count() / kGroupRows);
     // The in-memory oracle: interpret() reads the table back through
     // load_table, so first pin that to the table stored.
     expect_tables_equal(load_table(store, "src"), source,
