@@ -255,7 +255,7 @@ int main(int argc, char** argv) {
   constexpr std::size_t kKeys = 20'000;
   for (const std::size_t n : {std::size_t{4}, std::size_t{8},
                               std::size_t{16}, std::size_t{32}}) {
-    serve::HashRing ring{64};
+    serve::HashRing ring;
     for (serve::ReplicaId id = 0; id < static_cast<serve::ReplicaId>(n); ++id)
       ring.add_node(id);
     std::vector<serve::ReplicaId> before;

@@ -57,7 +57,7 @@ void sweep_isas(bench::Report& report) {
 
   std::printf("  %-8s %14s\n", "isa", "select GR/s");
   for (const simd::Isa isa : simd::reachable_isas()) {
-    const bench::IsaGuard guard{isa};
+    const simd::IsaGuard guard{isa};
     const auto& k = simd::kernels();
     volatile std::uint64_t sink = 0;
     const double sel_ms = best_ms(5, [&] {

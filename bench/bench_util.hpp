@@ -1,8 +1,8 @@
 #pragma once
 // Shared bench runner: the formatting helpers the experiment benches print
 // their paper-style tables with, the wall-clock timing helpers (the only
-// place under bench/ that reads the clock), plus a machine-readable
-// telemetry `Report`.
+// place under bench/ that reads the clock, through obs::wall_now_ns), plus
+// a machine-readable telemetry `Report`.
 // Every bench that constructs a Report accepts `--json <path>` (or the
 // RB_BENCH_JSON environment variable) and writes one JSON document
 //   {"bench": <name>, "config": {...}, "metrics": {...}}
@@ -10,7 +10,6 @@
 // human tables.
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -20,7 +19,7 @@
 #include <vector>
 
 #include "obs/json.hpp"
-#include "sim/stats.hpp"
+#include "obs/trace.hpp"
 
 namespace rb::bench {
 
@@ -37,11 +36,9 @@ inline void note(const std::string& text) {
 /// Wall-clock milliseconds one call of `fn` takes.
 template <typename Fn>
 double time_ms(Fn&& fn) {
-  const auto t0 = std::chrono::steady_clock::now();
+  const std::int64_t t0 = obs::wall_now_ns();
   fn();
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
+  return static_cast<double>(obs::wall_now_ns() - t0) * 1e-6;
 }
 
 /// The fastest of `n` calls of `fn`, in milliseconds.
@@ -133,18 +130,6 @@ class Report {
   void metric(std::string key, Value v) {
     if (!enabled()) return;
     metrics_.emplace_back(std::move(key), std::move(v));
-  }
-  /// Expand a distribution summary into <key>.count/.mean/.min/.max/.p50/...
-  void metric(const std::string& key, const sim::StatSummary& s) {
-    if (!enabled()) return;
-    metric(key + ".count", static_cast<std::uint64_t>(s.count));
-    metric(key + ".mean", s.mean);
-    metric(key + ".min", s.min);
-    metric(key + ".max", s.max);
-    metric(key + ".p50", s.p50);
-    metric(key + ".p90", s.p90);
-    metric(key + ".p99", s.p99);
-    metric(key + ".p999", s.p999);
   }
 
   /// Write the document now (idempotent). Throws std::runtime_error on I/O

@@ -31,21 +31,6 @@ struct Aligned {
   T* p;
 };
 
-/// Forces an ISA for its scope and restores the entry ISA on exit.
-class IsaGuard {
- public:
-  explicit IsaGuard(accel::simd::Isa want)
-      : prev_{accel::simd::active_isa()}, ok_{accel::simd::set_isa(want)} {}
-  ~IsaGuard() { accel::simd::set_isa(prev_); }
-  IsaGuard(const IsaGuard&) = delete;
-  IsaGuard& operator=(const IsaGuard&) = delete;
-  bool ok() const noexcept { return ok_; }
-
- private:
-  accel::simd::Isa prev_;
-  bool ok_;
-};
-
 /// A scan column: `n` values uniform in [0, 1000), so the [250, 750) range
 /// the scan benches select keeps ~50% of the rows.
 inline void fill_scan_column(Aligned<std::int64_t>& values, std::size_t n,
@@ -79,10 +64,10 @@ std::optional<MeasuredKernel> scalar_vs_best(int reps, const Rep& rep) {
   MeasuredKernel m;
   m.isa = accel::simd::best_supported();
   {
-    const IsaGuard scalar{accel::simd::Isa::kScalar};
+    const accel::simd::IsaGuard scalar{accel::simd::Isa::kScalar};
     m.scalar_ms = per_rep_ms();
   }
-  const IsaGuard tuned{m.isa};
+  const accel::simd::IsaGuard tuned{m.isa};
   if (!tuned.ok()) return std::nullopt;
   m.tuned_ms = per_rep_ms();
   m.speedup = m.tuned_ms > 0.0 ? m.scalar_ms / m.tuned_ms : 1.0;

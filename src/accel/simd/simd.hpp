@@ -122,6 +122,23 @@ Isa active_isa() noexcept;
 /// accel.simd_isa gauge when observability is enabled.
 bool set_isa(Isa isa) noexcept;
 
+/// Scope guard for set_isa(): restores the entry ISA when the scope exits,
+/// also when a failed test assertion returns early. Given `want`, it first
+/// switches to that level; ok() reports whether the switch took.
+class IsaGuard {
+ public:
+  explicit IsaGuard(std::optional<Isa> want = std::nullopt) noexcept
+      : prev_{active_isa()}, ok_{!want || set_isa(*want)} {}
+  ~IsaGuard() { set_isa(prev_); }
+  IsaGuard(const IsaGuard&) = delete;
+  IsaGuard& operator=(const IsaGuard&) = delete;
+  bool ok() const noexcept { return ok_; }
+
+ private:
+  Isa prev_;
+  bool ok_;
+};
+
 namespace detail {
 // Per-ISA table getters; an ISA not compiled into this binary returns
 // nullptr and is reported unsupported.

@@ -91,7 +91,6 @@ void FlowSimulator::release_slot(std::uint32_t idx) {
   id_to_slot_.erase(s.id);
   s.id = 0;
   s.on_complete = nullptr;
-  s.causal = {};
   s.path.clear();  // keeps capacity for the next tenant
   s.next_free = free_head_;
   free_head_ = idx;
@@ -138,8 +137,7 @@ void FlowSimulator::build_path(FlowId id, NodeId src, NodeId dst,
 // --- public API -----------------------------------------------------------
 
 FlowId FlowSimulator::start_flow(NodeId src, NodeId dst, sim::Bytes size,
-                                 FlowCallback on_complete,
-                                 const obs::TraceContext& parent) {
+                                 FlowCallback on_complete) {
   const FlowId id = next_id_++;
   sim::SimTime latency = 0;
   build_path(id, src, dst, path_scratch_, latency);  // throws NoRouteError
@@ -152,19 +150,6 @@ FlowId FlowSimulator::start_flow(NodeId src, NodeId dst, sim::Bytes size,
          obs::trace_arg("dst", static_cast<std::uint64_t>(dst)),
          obs::trace_arg("bytes", static_cast<std::uint64_t>(size))});
   }
-  // Causal propagation: the flow's lifetime becomes a network span of the
-  // caller's request tree (annotated with the flow id for cross-reference).
-  obs::TraceContext causal;
-  {
-    auto& tracer = obs::RequestTracer::global();
-    if (tracer.enabled() && parent.active()) {
-      causal.trace_id = parent.trace_id;
-      causal.span_id =
-          tracer.begin_span(parent, obs::Segment::kNetwork, "net.flow",
-                            sim_->now(), static_cast<std::int64_t>(id));
-    }
-  }
-
   const double bits = static_cast<double>(size) * 8.0;
   if (bits <= kResidualBits || path_scratch_.empty()) {
     // Degenerate flow: completes after propagation only.
@@ -176,8 +161,7 @@ FlowId FlowSimulator::start_flow(NodeId src, NodeId dst, sim::Bytes size,
                       sim_->now() + latency,
                       FlowOutcome::kCompleted,
                       size};
-    sim_->schedule_in(latency, [this, record, causal,
-                                cb = std::move(on_complete)] {
+    sim_->schedule_in(latency, [this, record, cb = std::move(on_complete)] {
       ++completed_;
       const double fct_s = sim::to_seconds(record.finish - record.start);
       fct_.add(fct_s);
@@ -187,10 +171,6 @@ FlowId FlowSimulator::start_flow(NodeId src, NodeId dst, sim::Bytes size,
         obs::TraceRecorder::global().async_end(
             "net.flow", "flow", record.id, sim_->now(),
             {obs::trace_arg("outcome", "completed")});
-      }
-      if (causal.active()) {
-        obs::RequestTracer::global().end_span(causal.trace_id, causal.span_id,
-                                              sim_->now());
       }
       if (cb) cb(record);
     });
@@ -211,7 +191,6 @@ FlowId FlowSimulator::start_flow(NodeId src, NodeId dst, sim::Bytes size,
   s.id = id;
   s.path.swap(path_scratch_);
   s.on_complete = std::move(on_complete);
-  s.causal = causal;
   id_to_slot_.emplace(id, idx);
   link_flow(idx);
   request_realloc();
@@ -223,11 +202,6 @@ bool FlowSimulator::cancel_flow(FlowId id) {
   if (it == id_to_slot_.end()) return false;
   advance_to_now();
   const std::uint32_t idx = it->second;
-  if (slots_[idx].causal.active()) {
-    obs::RequestTracer::global().end_span(slots_[idx].causal.trace_id,
-                                          slots_[idx].causal.span_id,
-                                          sim_->now());
-  }
   unlink_flow(idx);
   release_slot(idx);
   ++cancelled_;
@@ -513,11 +487,6 @@ void FlowSimulator::finish_flow(std::uint32_t idx) {
                     FlowOutcome::kCompleted,
                     s.size};
   auto cb = std::move(s.on_complete);
-  if (s.causal.active()) {
-    obs::RequestTracer::global().end_span(s.causal.trace_id, s.causal.span_id,
-                                          record.finish);
-    s.causal = {};
-  }
   unlink_flow(idx);
   release_slot(idx);
   const double fct_s = sim::to_seconds(record.finish - record.start);
@@ -547,11 +516,6 @@ void FlowSimulator::fail_flow(std::uint32_t idx) {
                     FlowOutcome::kFailed,
                     static_cast<sim::Bytes>(std::max(0.0, sent_bits) / 8.0)};
   auto cb = std::move(s.on_complete);
-  if (s.causal.active()) {
-    obs::RequestTracer::global().end_span(s.causal.trace_id, s.causal.span_id,
-                                          sim_->now());
-    s.causal = {};
-  }
   unlink_flow(idx);
   release_slot(idx);
   if (obs::enabled()) {

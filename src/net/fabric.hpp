@@ -37,7 +37,6 @@
 
 #include "net/routing.hpp"
 #include "net/topology.hpp"
-#include "obs/context.hpp"
 #include "obs/metrics.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stats.hpp"
@@ -99,12 +98,9 @@ class FlowSimulator {
   /// flow's finish time (or failure time, with outcome kFailed). Zero-byte
   /// flows and src==dst complete immediately (after path propagation
   /// latency). Throws NoRouteError when the destination is unreachable at
-  /// start time. When `parent` is an active causal context (and the
-  /// RequestTracer is on), the flow's lifetime is additionally recorded as a
-  /// kNetwork span under the caller's span tree.
+  /// start time.
   FlowId start_flow(NodeId src, NodeId dst, sim::Bytes size,
-                    FlowCallback on_complete = {},
-                    const obs::TraceContext& parent = {});
+                    FlowCallback on_complete = {});
 
   /// Silently abandon an active flow (no callback, no outcome). Returns
   /// false if the flow is not active. Used when the consumer of the flow
@@ -159,8 +155,6 @@ class FlowSimulator {
     bool frozen = false;       // progressive-filling scratch (per-slot flag)
     std::vector<PathHop> path;
     FlowCallback on_complete;
-    /// Causal span for the flow's lifetime (trace_id 0 = untraced).
-    obs::TraceContext causal;
   };
 
   /// Entry in a directed link's flow-membership list; `hop` is the index of

@@ -243,7 +243,7 @@ CriticalPath RequestTracer::critical_path(const LiveTrace& t,
 
 bool RequestTracer::retain(double latency_s, TraceOutcome outcome) const {
   if (params_.max_exemplars == 0) return false;
-  if (params_.keep_failures && outcome != TraceOutcome::kCompleted) return true;
+  if (outcome != TraceOutcome::kCompleted) return true;
   if (params_.latency_threshold_s > 0.0 &&
       latency_s >= params_.latency_threshold_s) {
     return true;

@@ -134,10 +134,9 @@ struct ExemplarParams {
   std::size_t max_exemplars = 32;
   /// A completed request slower than this (seconds) always qualifies;
   /// 0 = only the slowest-N reservoir and failures qualify. Set this to the
-  /// SLO latency to retain exactly the SLO-violating trees.
+  /// SLO latency to retain exactly the SLO-violating trees. Failed and
+  /// rejected requests always qualify.
   double latency_threshold_s = 0.0;
-  /// Failed/rejected requests always qualify for retention.
-  bool keep_failures = true;
 };
 
 /// Aggregated decomposition of one latency-percentile band.

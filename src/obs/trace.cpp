@@ -10,11 +10,13 @@
 
 namespace rb::obs {
 
-std::int64_t wall_now_us() noexcept {
+std::int64_t wall_now_ns() noexcept {
   using namespace std::chrono;
   static const steady_clock::time_point epoch = steady_clock::now();
-  return duration_cast<microseconds>(steady_clock::now() - epoch).count();
+  return duration_cast<nanoseconds>(steady_clock::now() - epoch).count();
 }
+
+std::int64_t wall_now_us() noexcept { return wall_now_ns() / 1000; }
 
 WallSpan::~WallSpan() {
   if (!active_) return;

@@ -108,7 +108,10 @@ class TraceRecorder {
   std::atomic<bool> enabled_{false};
 };
 
-/// Wall clock in microseconds since an arbitrary process-local epoch.
+/// Wall clock in nanoseconds since an arbitrary process-local epoch: the
+/// one reader of the steady clock that library code and benches time with.
+std::int64_t wall_now_ns() noexcept;
+/// wall_now_ns() in whole microseconds.
 std::int64_t wall_now_us() noexcept;
 
 /// RAII span for real (not simulated) work such as LSM flushes or dataflow

@@ -1,7 +1,6 @@
 #include "query/exec/operators.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <stdexcept>
 
 #include "accel/simd/simd.hpp"
@@ -414,32 +413,6 @@ void GroupAggregate::do_finish() {
   }
 }
 
-/// --- OrderBy -------------------------------------------------------------
-
-OrderBy::OrderBy(const SchemaPtr& in, std::string column, bool descending,
-                 std::size_t batch_capacity)
-    : Operator{"order_by"},
-      sort_col_{in->index_of(column, ColumnType::kInt)},
-      descending_{descending},
-      batch_capacity_{batch_capacity},
-      rows_{in, kGrowingBuffer} {
-  out_schema_ = in;
-}
-
-void OrderBy::do_push(ColumnBatch& batch) { rows_.append_active(batch); }
-
-void OrderBy::do_finish() {
-  const auto& keys = rows_.ints(sort_col_);
-  std::vector<std::uint32_t> order(rows_.row_count());
-  std::iota(order.begin(), order.end(), 0u);
-  std::stable_sort(order.begin(), order.end(),
-                   [&keys, this](std::uint32_t a, std::uint32_t b) {
-                     return descending_ ? keys[a] > keys[b]
-                                        : keys[a] < keys[b];
-                   });
-  emit_rows(rows_, order, batch_capacity_);
-}
-
 /// --- TopK ----------------------------------------------------------------
 
 TopK::TopK(const SchemaPtr& in, std::string column, bool descending,
@@ -449,34 +422,48 @@ TopK::TopK(const SchemaPtr& in, std::string column, bool descending,
       descending_{descending},
       k_{k},
       batch_capacity_{batch_capacity},
-      rows_{in, std::max<std::size_t>(k, 1)} {
+      rows_{in, std::max<std::size_t>(std::min(k, batch_capacity), 1)} {
   out_schema_ = in;
-  heap_.reserve(k_);
+  // Reserve for what a batch brings, not for k: k is SIZE_MAX for an
+  // order_by without a limit, and the buffers grow only as rows arrive.
+  heap_.reserve(std::min(k_, batch_capacity_));
 }
 
 void TopK::keep(const ColumnBatch& batch, std::uint32_t r, Entry e) {
-  // Heap ordered so the *worst kept* entry is on top (front): std::heap
-  // primitives build a max-heap under `better`, and the maximum under
-  // "sorts-first" ordering is the entry that sorts last.
-  const auto cmp = [this](const Entry& a, const Entry& b) {
-    return better(a, b);
-  };
   if (heap_.size() < k_) {
     e.slot = static_cast<std::uint32_t>(heap_.size());
     rows_.append_rows(batch, &r, 1);
     heap_.push_back(e);
-  } else {
-    std::pop_heap(heap_.begin(), heap_.end(), cmp);
-    e.slot = heap_.back().slot;
-    rows_.set_row(e.slot, batch, r);
-    heap_.back() = e;
+    if (heap_.size() == k_) {
+      std::make_heap(heap_.begin(), heap_.end(), sorts_first());
+    }
+    return;
   }
-  std::push_heap(heap_.begin(), heap_.end(), cmp);
+  std::pop_heap(heap_.begin(), heap_.end(), sorts_first());
+  e.slot = heap_.back().slot;
+  rows_.set_row(e.slot, batch, r);
+  heap_.back() = e;
+  std::push_heap(heap_.begin(), heap_.end(), sorts_first());
 }
 
 void TopK::do_push(ColumnBatch& batch) {
   if (k_ == 0) return;
   const auto& keys = batch.ints(sort_col_);
+  if (heap_.size() < k_ && batch.active_count() <= k_ - heap_.size()) {
+    // Fill phase: every active row is kept. Append them in bulk, in
+    // arrival order, and record their entries without heap order; the
+    // k-th row heapifies once. Under the strict (value, seq) order the
+    // kept set and each evicted slot do not depend on the heap's layout.
+    rows_.append_active(batch);
+    batch.for_each_active([&](std::uint32_t r) {
+      heap_.push_back(
+          Entry{keys[r], seq_++, static_cast<std::uint32_t>(heap_.size())});
+    });
+    if (heap_.size() == k_) {
+      std::make_heap(heap_.begin(), heap_.end(), sorts_first());
+    }
+    return;
+  }
   if (heap_.size() == k_ && !batch.has_selection()) {
     // Fused sift: pre-filter the dense batch with the SIMD strict-compare
     // kernel against the worst kept value. The threshold only ratchets
@@ -515,8 +502,7 @@ void TopK::do_push(ColumnBatch& batch) {
 }
 
 void TopK::do_finish() {
-  std::sort(heap_.begin(), heap_.end(),
-            [this](const Entry& a, const Entry& b) { return better(a, b); });
+  std::sort(heap_.begin(), heap_.end(), sorts_first());
   std::vector<std::uint32_t> order;
   order.reserve(heap_.size());
   for (const Entry& e : heap_) order.push_back(e.slot);
@@ -546,42 +532,6 @@ void Limit::do_push(ColumnBatch& batch) {
   batch.set_selection(std::move(sel));
   remaining_ = 0;
   emit(batch);
-}
-
-/// --- Project -------------------------------------------------------------
-
-Project::Project(const SchemaPtr& in,
-                 const std::vector<std::string>& columns,
-                 std::size_t batch_capacity)
-    : Operator{"project"}, batch_capacity_{batch_capacity} {
-  auto schema = std::make_shared<BatchSchema>();
-  for (const auto& name : columns) {
-    const std::size_t src = in->index_of(name);
-    src_cols_.push_back(src);
-    schema->add(name, in->at(src).type);
-  }
-  out_schema_ = std::move(schema);
-}
-
-void Project::do_push(ColumnBatch& batch) {
-  if (out_batch_ == nullptr) {
-    out_batch_ = std::make_unique<ColumnBatch>(out_schema_, batch_capacity_);
-  }
-  const auto& schema = *out_schema_;
-  for (std::size_t c = 0; c < schema.column_count(); ++c) {
-    if (schema.at(c).type == ColumnType::kInt) {
-      const auto& src = batch.ints(src_cols_[c]);
-      auto& dst = out_batch_->ints(c);
-      batch.for_each_active([&](std::uint32_t r) { dst.push_back(src[r]); });
-    } else {
-      const auto& src = batch.strings(src_cols_[c]);
-      auto& dst = out_batch_->strings(c);
-      batch.for_each_active([&](std::uint32_t r) { dst.push_back(src[r]); });
-    }
-  }
-  out_batch_->set_row_count(batch.active_count());
-  emit(*out_batch_);
-  out_batch_->clear();
 }
 
 /// --- CollectSink ---------------------------------------------------------

@@ -3,8 +3,8 @@
 //
 // Execution model: a Source fills ColumnBatches and the Plan driver pushes
 // each batch through a chain of Operators (push() → do_push()). Streaming
-// operators (Filter, HashJoin probe, Limit, Project) forward work batch by
-// batch; blocking operators (GroupAggregate, OrderBy, TopK) buffer compact
+// operators (Filter, HashJoin probe, Limit) forward work batch by batch;
+// blocking operators (GroupAggregate, TopK — the one sort) buffer compact
 // state and emit their output from finish(). finish() propagates down the
 // chain, so every operator flushes before its consumer is finalized.
 //
@@ -15,7 +15,6 @@
 // obs::enabled() guard — one relaxed atomic load per batch when disabled,
 // the same contract bench_obs_overhead enforces elsewhere in the stack.
 
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -26,6 +25,7 @@
 
 #include "accel/hash_table.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "query/exec/batch.hpp"
 #include "query/table.hpp"
 
@@ -135,11 +135,9 @@ class Operator {
       fn();
       return;
     }
-    const auto t0 = std::chrono::steady_clock::now();
+    const std::int64_t t0 = obs::wall_now_ns();
     fn();
-    busy_ns_ += std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
+    busy_ns_ += obs::wall_now_ns() - t0;
   }
 
   void resolve_counters();
@@ -273,26 +271,10 @@ class GroupAggregate : public Operator {
   std::unique_ptr<ColumnBatch> out_batch_;
 };
 
-/// Blocking stable sort by an int column; buffers all active rows.
-class OrderBy : public Operator {
- public:
-  OrderBy(const SchemaPtr& in, std::string column, bool descending,
-          std::size_t batch_capacity);
-
- protected:
-  void do_push(ColumnBatch& batch) override;
-  void do_finish() override;
-
- private:
-  std::size_t sort_col_;
-  bool descending_;
-  std::size_t batch_capacity_;
-  ColumnBatch rows_;  // every buffered row, in arrival order
-};
-
-/// Fused OrderBy+Limit: bounded top-k selection, O(n log k) time and O(k)
-/// space, with tie-breaks on arrival order so the result is byte-identical
-/// to stable sort + limit.
+/// The engine's one sort: the first k rows by an int column, O(n log k)
+/// time and O(min(k, n)) space, with tie-breaks on arrival order so the
+/// result is byte-identical to stable sort + limit. An order_by without a
+/// limit runs with k = SIZE_MAX and keeps every row.
 class TopK : public Operator {
  public:
   TopK(const SchemaPtr& in, std::string column, bool descending,
@@ -313,6 +295,11 @@ class TopK : public Operator {
     if (a.v != b.v) return descending_ ? a.v > b.v : a.v < b.v;
     return a.seq < b.seq;
   }
+  /// better() as a comparator. The std::heap primitives build a max-heap
+  /// under it, so the heap's top is the kept entry that sorts last.
+  auto sorts_first() const noexcept {
+    return [this](const Entry& a, const Entry& b) { return better(a, b); };
+  }
   /// Keep row `r` of `batch` as `e`, evicting the worst kept entry once
   /// all k slots are full.
   void keep(const ColumnBatch& batch, std::uint32_t r, Entry e);
@@ -322,7 +309,7 @@ class TopK : public Operator {
   std::size_t k_;
   std::size_t batch_capacity_;
   std::uint64_t seq_ = 0;
-  std::vector<Entry> heap_;  // top = worst kept entry
+  std::vector<Entry> heap_;  // a heap (top = worst kept) once k are kept
   ColumnBatch rows_;         // the kept rows; Entry::slot indexes them
   std::vector<std::uint32_t> sift_scratch_;  // SIMD pre-filter survivors
   obs::Counter* c_simd_rows_ = nullptr;
@@ -340,21 +327,6 @@ class Limit : public Operator {
 
  private:
   std::size_t remaining_;
-};
-
-/// Keep only the named columns, in order (copies active rows densely).
-class Project : public Operator {
- public:
-  Project(const SchemaPtr& in, const std::vector<std::string>& columns,
-          std::size_t batch_capacity);
-
- protected:
-  void do_push(ColumnBatch& batch) override;
-
- private:
-  std::vector<std::size_t> src_cols_;
-  std::size_t batch_capacity_;
-  std::unique_ptr<ColumnBatch> out_batch_;
 };
 
 /// Terminal operator: materializes every active row into a Table.

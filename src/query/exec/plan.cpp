@@ -1,5 +1,6 @@
 #include "query/exec/plan.hpp"
 
+#include <cstdint>
 #include <stdexcept>
 
 #include "query/exec/lsm_table.hpp"
@@ -9,22 +10,11 @@ namespace rb::query::exec {
 
 namespace {
 
-/// order_by+limit fuses into TopK only when the k slots are worth
-/// preallocating; beyond this a full sort is no worse.
-constexpr std::size_t kTopKFusionMax = std::size_t{1} << 16;
-
-bool fuses_to_topk(const std::vector<Stage>& stages, std::size_t i) {
-  if (!std::holds_alternative<OrderByStage>(stages[i])) return false;
-  if (i + 1 >= stages.size()) return false;
-  const auto* next = std::get_if<LimitStage>(&stages[i + 1]);
-  return next != nullptr && next->n <= kTopKFusionMax;
-}
-
 /// Operators that forward batches without buffering input; a Limit behind
 /// only these can stop the scan early.
 bool is_streaming(const char* name) noexcept {
   const std::string_view n{name};
-  return n == "filter" || n == "hash_join" || n == "project" || n == "limit";
+  return n == "filter" || n == "hash_join" || n == "limit";
 }
 
 }  // namespace
@@ -43,44 +33,41 @@ Table Plan::run(const ExecOptions& opts, ExecStats* stats) const {
   std::vector<std::unique_ptr<Operator>> ops;
   SchemaPtr schema = source->schema();
   for (std::size_t i = 0; i < stages_.size(); ++i) {
-    if (fuses_to_topk(stages_, i)) {
-      const auto& ob = std::get<OrderByStage>(stages_[i]);
-      const auto& lim = std::get<LimitStage>(stages_[i + 1]);
-      ops.push_back(std::make_unique<TopK>(schema, ob.column, ob.descending,
-                                           lim.n, opts.batch_size));
-      ++i;
-    } else {
-      std::visit(
-          [&](const auto& s) {
-            using S = std::decay_t<decltype(s)>;
-            if constexpr (std::is_same_v<S, FilterIntStage>) {
-              if (s.is_range) {
-                ops.push_back(std::make_unique<FilterInt>(schema, s.column,
-                                                          s.lo, s.hi, s.pred));
-              } else {
-                ops.push_back(
-                    std::make_unique<FilterInt>(schema, s.column, s.pred));
-              }
-            } else if constexpr (std::is_same_v<S, JoinStage>) {
-              ops.push_back(std::make_unique<HashJoin>(
-                  schema, &s.right, s.left_key, s.right_key,
-                  opts.batch_size));
-            } else if constexpr (std::is_same_v<S, GroupByStage>) {
-              ops.push_back(std::make_unique<GroupAggregate>(
-                  schema, s.key, s.agg, s.value, s.result, opts.batch_size));
-            } else if constexpr (std::is_same_v<S, OrderByStage>) {
-              ops.push_back(std::make_unique<OrderBy>(
-                  schema, s.column, s.descending, opts.batch_size));
-            } else if constexpr (std::is_same_v<S, LimitStage>) {
-              ops.push_back(std::make_unique<Limit>(schema, s.n));
+    std::visit(
+        [&](const auto& s) {
+          using S = std::decay_t<decltype(s)>;
+          if constexpr (std::is_same_v<S, FilterIntStage>) {
+            if (s.is_range) {
+              ops.push_back(std::make_unique<FilterInt>(schema, s.column,
+                                                        s.lo, s.hi, s.pred));
             } else {
               ops.push_back(
-                  std::make_unique<Project>(schema, s.columns,
-                                            opts.batch_size));
+                  std::make_unique<FilterInt>(schema, s.column, s.pred));
             }
-          },
-          stages_[i]);
-    }
+          } else if constexpr (std::is_same_v<S, JoinStage>) {
+            ops.push_back(std::make_unique<HashJoin>(
+                schema, &s.right, s.left_key, s.right_key, opts.batch_size));
+          } else if constexpr (std::is_same_v<S, GroupByStage>) {
+            ops.push_back(std::make_unique<GroupAggregate>(
+                schema, s.key, s.agg, s.value, s.result, opts.batch_size));
+          } else if constexpr (std::is_same_v<S, OrderByStage>) {
+            // Every sort is a TopK: it absorbs a directly following limit
+            // as its k, and keeps every row without one.
+            std::size_t k = SIZE_MAX;
+            if (i + 1 < stages_.size()) {
+              if (const auto* lim = std::get_if<LimitStage>(&stages_[i + 1])) {
+                k = lim->n;
+                ++i;
+              }
+            }
+            ops.push_back(std::make_unique<TopK>(schema, s.column,
+                                                 s.descending, k,
+                                                 opts.batch_size));
+          } else {
+            ops.push_back(std::make_unique<Limit>(schema, s.n));
+          }
+        },
+        stages_[i]);
     schema = ops.back()->output_schema();
   }
   auto sink = std::make_unique<CollectSink>(schema);
@@ -202,11 +189,6 @@ PlanBuilder& PlanBuilder::order_by(std::string column, bool descending) {
 
 PlanBuilder& PlanBuilder::limit(std::size_t n) {
   plan_.stages_.emplace_back(LimitStage{n});
-  return *this;
-}
-
-PlanBuilder& PlanBuilder::project(std::vector<std::string> columns) {
-  plan_.stages_.emplace_back(ProjectStage{std::move(columns)});
   return *this;
 }
 

@@ -6,12 +6,13 @@
 // verbs record, e.g.
 //   PlanBuilder(store, "lineitem").filter_int(...).build()
 // Plan::run() compiles the stages into the operator chain from
-// operators.hpp — fusing order_by+limit into the bounded TopK operator and
-// stopping the scan early when a Limit with a fully-streaming prefix
-// saturates — then drives batches from the source through the chain into
-// a CollectSink. Plan::interpret() runs the same stages through the
-// reference interpreter (query::interpret), and every plan's run() is
-// byte-identical to its interpret() — the differential tests enforce this.
+// operators.hpp — every order_by becomes the one sort operator, TopK, which
+// absorbs a directly following limit as its k, and a Limit with a
+// fully-streaming prefix stops the scan early once it saturates — then
+// drives batches from the source through the chain into a CollectSink.
+// Plan::interpret() runs the same stages through the reference interpreter
+// (query::interpret), and every plan's run() is byte-identical to its
+// interpret() — the differential tests enforce this.
 
 #include <cstdint>
 #include <memory>
@@ -94,7 +95,6 @@ class PlanBuilder {
                         std::string result_name);
   PlanBuilder& order_by(std::string column, bool descending = false);
   PlanBuilder& limit(std::size_t n);
-  PlanBuilder& project(std::vector<std::string> columns);
 
   /// Moves the accumulated plan out; the builder is spent afterwards.
   Plan build();

@@ -247,18 +247,6 @@ Table apply_limit(Table t, const LimitStage& s) {
   return t.gather(all_rows(std::min(s.n, t.row_count())));
 }
 
-Table apply_project(Table t, const ProjectStage& s) {
-  Table out;
-  for (const auto& name : s.columns) {
-    if (t.column_type(name) == ColumnType::kInt) {
-      out.add_int_column(name, t.ints(name));
-    } else {
-      out.add_string_column(name, t.strings(name));
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 Table interpret(Table current, const std::vector<Stage>& stages) {
@@ -274,10 +262,8 @@ Table interpret(Table current, const std::vector<Stage>& stages) {
             return apply_group_by(std::move(current), s);
           } else if constexpr (std::is_same_v<S, OrderByStage>) {
             return apply_order_by(std::move(current), s);
-          } else if constexpr (std::is_same_v<S, LimitStage>) {
-            return apply_limit(std::move(current), s);
           } else {
-            return apply_project(std::move(current), s);
+            return apply_limit(std::move(current), s);
           }
         },
         stage);

@@ -129,12 +129,9 @@ struct OrderByStage {
 struct LimitStage {
   std::size_t n = 0;
 };
-struct ProjectStage {
-  std::vector<std::string> columns;
-};
 
 using Stage = std::variant<FilterIntStage, JoinStage, GroupByStage,
-                           OrderByStage, LimitStage, ProjectStage>;
+                           OrderByStage, LimitStage>;
 
 /// The row-at-a-time reference interpreter: run `stages` in order over
 /// `source`, fully materializing each stage's output table. Columns are

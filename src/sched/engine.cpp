@@ -15,6 +15,9 @@ namespace rb::sched {
 
 namespace {
 
+/// Accelerator code path efficiency applied to non-CPU devices.
+constexpr double kAccelEfficiency = 0.85;
+
 const obs::Logger& sched_log() {
   static const obs::Logger logger{"sched"};
   return logger;
@@ -78,8 +81,6 @@ RunResult run_jobs(const Cluster& cluster, std::vector<JobArrival> jobs,
                    Policy& policy, const EngineParams& params) {
   if (cluster.machines.empty())
     throw std::invalid_argument{"run_jobs: empty cluster"};
-  if (params.accel_efficiency <= 0.0 || params.accel_efficiency > 1.0)
-    throw std::invalid_argument{"run_jobs: accel_efficiency out of (0, 1]"};
   if (params.fault_plan != nullptr) {
     if (params.max_attempts < 1)
       throw std::invalid_argument{"run_jobs: max_attempts must be >= 1"};
@@ -183,7 +184,7 @@ RunResult run_jobs(const Cluster& cluster, std::vector<JobArrival> jobs,
                                 const Executor& exec) -> sim::SimTime {
     node::DeviceModel device = *exec.device;
     if (!exec.is_cpu_slot) {
-      device.peak_gflops *= params.accel_efficiency;
+      device.peak_gflops *= kAccelEfficiency;
     } else {
       // A CPU slot is one share of the socket: divide capability by slots.
       const auto slots = static_cast<double>(
@@ -196,7 +197,7 @@ RunResult run_jobs(const Cluster& cluster, std::vector<JobArrival> jobs,
   const auto task_time = [&](const ReadyTask& task,
                              const Executor& exec) -> sim::SimTime {
     sim::SimTime t = compute_time(task, exec);
-    if (params.charge_remote_fetch && task.locality_machine != exec.machine) {
+    if (task.locality_machine != exec.machine) {
       const double fetch_s =
           task.spec->per_task_kernel.bytes / (cluster.network_gbs * 1e9);
       t += sim::from_seconds(fetch_s);
@@ -455,8 +456,7 @@ RunResult run_jobs(const Cluster& cluster, std::vector<JobArrival> jobs,
                             static_cast<std::uint64_t>(exec.machine))});
       }
       const std::size_t exec_id = exec.id;
-      const bool remote = params.charge_remote_fetch &&
-                          task.locality_machine != exec.machine;
+      const bool remote = task.locality_machine != exec.machine;
       if (remote) ++result.remote_tasks;
 
       const sim::Bytes fetch_bytes = static_cast<sim::Bytes>(

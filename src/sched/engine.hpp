@@ -60,11 +60,6 @@ struct Executor {
 class Policy;
 
 struct EngineParams {
-  /// Penalty model for non-local input: bytes fetched over the network.
-  bool charge_remote_fetch = true;
-  /// Accelerator code path efficiency applied to non-CPU devices in (0,1].
-  double accel_efficiency = 0.85;
-
   /// Optional fault schedule. kMachine events target cluster machines by
   /// index; kLink/kNode events are applied to `fabric` (required for them).
   const faults::FaultPlan* fault_plan = nullptr;

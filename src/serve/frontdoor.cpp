@@ -29,7 +29,6 @@ FrontDoor::FrontDoor(sim::Simulator& sim, const net::Topology& topo,
       topo_{&topo},
       router_{&router},
       params_{params},
-      ring_{params.vnodes_per_replica},
       rng_{params.seed},
       key_dist_{std::max<std::size_t>(params.key_universe, 1), params.zipf_s},
       budget_{params.resilience.budget},

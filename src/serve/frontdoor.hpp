@@ -77,7 +77,6 @@ struct FrontDoorParams {
   std::size_t replicas = 0;
   /// Copies per key (capped at the replica count).
   std::size_t replication = 3;
-  std::size_t vnodes_per_replica = 64;
 
   /// --- Client population (open loop) ---
   std::size_t key_universe = 10'000;
@@ -133,7 +132,6 @@ class FrontDoor {
   const SloAccountant& slo() const noexcept { return slo_; }
   /// Mutable access for attaching telemetry sinks (rollups, alert engines).
   SloAccountant& slo() noexcept { return slo_; }
-  const HashRing& ring() const noexcept { return ring_; }
   std::size_t replica_count() const noexcept { return replicas_.size(); }
   const ReplicaServer& replica(std::size_t i) const { return *replicas_.at(i); }
   net::NodeId gateway() const noexcept { return gateway_; }
@@ -143,9 +141,6 @@ class FrontDoor {
   /// Resilience counters, with the per-replica breaker trips/denials summed
   /// in (rolled up at call time).
   ResilienceStats resilience_stats() const;
-  const CircuitBreaker& breaker(std::size_t i) const { return breakers_.at(i); }
-  /// Current retry-budget balance (== burst when the budget is disabled).
-  double retry_tokens() const noexcept { return budget_.tokens(); }
 
  private:
   /// One attempt of the current wave still in flight (wire or queue).

@@ -105,7 +105,6 @@ void ReplicaServer::maybe_start_batch() {
   }
   const std::size_t n = batch_.size();
   ++batches_;
-  batch_sizes_.add(static_cast<double>(n));
   batch_started_ = now;
 
   // Amortized batch cost: fixed overhead + roofline time of n requests'

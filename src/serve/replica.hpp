@@ -27,7 +27,6 @@
 #include "serve/ring.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
-#include "sim/stats.hpp"
 #include "storage/lsm.hpp"
 
 namespace rb::serve {
@@ -84,9 +83,7 @@ class ReplicaServer {
   /// and answering — slowly — which is exactly what makes gray failures
   /// harder on callers than clean outages.
   void set_slowdown(double factor);
-  double slowdown() const noexcept { return slowdown_; }
 
-  ReplicaId id() const noexcept { return id_; }
   net::NodeId host() const noexcept { return host_; }
   std::size_t queue_depth() const noexcept {
     return queue_.size() + batch_.size();
@@ -100,8 +97,6 @@ class ReplicaServer {
   /// Queued requests dropped because their deadline passed before service.
   std::uint64_t requests_expired() const noexcept { return expired_; }
   std::uint64_t batches() const noexcept { return batches_; }
-  /// Distribution of batch sizes actually served (amortization evidence).
-  const sim::RunningStats& batch_sizes() const noexcept { return batch_sizes_; }
 
   /// Ideal per-request service time at full batching — `(overhead +
   /// roofline(batch_max x kernel)) / batch_max`. The capacity planning
@@ -135,7 +130,6 @@ class ReplicaServer {
   std::uint64_t killed_ = 0;
   std::uint64_t expired_ = 0;
   std::uint64_t batches_ = 0;
-  sim::RunningStats batch_sizes_;
 };
 
 }  // namespace rb::serve

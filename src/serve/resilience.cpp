@@ -71,15 +71,6 @@ bool RetryBudget::try_spend() noexcept {
 
 /// --- CircuitBreaker -----------------------------------------------------
 
-const char* to_string(BreakerState state) noexcept {
-  switch (state) {
-    case BreakerState::kClosed: return "closed";
-    case BreakerState::kOpen: return "open";
-    case BreakerState::kHalfOpen: return "half_open";
-  }
-  return "?";
-}
-
 CircuitBreaker::CircuitBreaker(const BreakerParams& params)
     : params_{params} {}
 

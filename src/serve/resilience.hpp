@@ -98,8 +98,6 @@ struct BreakerParams {
 
 enum class BreakerState : std::uint8_t { kClosed, kOpen, kHalfOpen };
 
-const char* to_string(BreakerState state) noexcept;
-
 class CircuitBreaker {
  public:
   explicit CircuitBreaker(const BreakerParams& params);
@@ -116,7 +114,6 @@ class CircuitBreaker {
   void on_failure(sim::SimTime now);
 
   BreakerState state() const noexcept { return state_; }
-  double latency_ewma_s() const noexcept { return ewma_s_; }
   /// Closed -> open (or half-open -> open) transitions so far.
   std::uint64_t opens() const noexcept { return opens_; }
   std::uint64_t denials() const noexcept { return denials_; }
@@ -163,8 +160,6 @@ class HedgeDelayTracker {
 
   /// Current hedge delay: max(min_delay, quantile of the window).
   sim::SimTime delay() const;
-
-  std::size_t samples() const noexcept { return count_; }
 
  private:
   HedgeParams params_;

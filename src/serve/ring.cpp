@@ -9,6 +9,9 @@ namespace rb::serve {
 
 namespace {
 
+/// Ring positions claimed per node.
+constexpr std::size_t kVnodesPerNode = 64;
+
 /// One splitmix64 step from the (node, vnode) pair.
 std::uint64_t vnode_position(ReplicaId node, std::size_t vnode) noexcept {
   return sim::mix64(((static_cast<std::uint64_t>(node) << 20) ^
@@ -18,17 +21,12 @@ std::uint64_t vnode_position(ReplicaId node, std::size_t vnode) noexcept {
 
 }  // namespace
 
-HashRing::HashRing(std::size_t vnodes_per_node) : vnodes_{vnodes_per_node} {
-  if (vnodes_ == 0)
-    throw std::invalid_argument{"HashRing: vnodes_per_node must be >= 1"};
-}
-
 void HashRing::add_node(ReplicaId id) {
   if (contains(id))
     throw std::invalid_argument{"HashRing: duplicate node " +
                                 std::to_string(id)};
   nodes_.emplace(id, true);
-  for (std::size_t v = 0; v < vnodes_; ++v) {
+  for (std::size_t v = 0; v < kVnodesPerNode; ++v) {
     std::uint64_t pos = vnode_position(id, v);
     // Linear-probe past the (astronomically rare) position collision so
     // every vnode lands and lookups stay deterministic.

@@ -1,9 +1,10 @@
 #pragma once
 // Consistent-hash ring with virtual nodes — the shard map of the serving
-// plane. Keys hash onto a 64-bit ring; each replica node owns `vnodes`
-// pseudo-random positions, and the arc ending at a position belongs to that
-// position's node. A key's shard is the arc it lands on; its R owners are
-// the first R *distinct* nodes clockwise from there.
+// plane. Keys hash onto a 64-bit ring; each replica node owns 64
+// pseudo-random positions (its virtual nodes), and the arc ending at a
+// position belongs to that position's node. A key's shard is the arc it
+// lands on; its R owners are the first R *distinct* nodes clockwise from
+// there.
 //
 // Adding a node moves only the arcs it claims, so ~1/N of keys change
 // primary (the consistent-hash guarantee; the property test pins it). A
@@ -32,9 +33,6 @@ struct Placement {
 
 class HashRing {
  public:
-  /// `vnodes_per_node` positions are claimed per node (>= 1).
-  explicit HashRing(std::size_t vnodes_per_node = 64);
-
   /// Membership change (reshards ~1/N of the key space). Throws
   /// std::invalid_argument on a duplicate id.
   void add_node(ReplicaId id);
@@ -46,7 +44,6 @@ class HashRing {
   bool contains(ReplicaId id) const noexcept;
 
   std::size_t node_count() const noexcept { return nodes_.size(); }
-  std::size_t vnodes_per_node() const noexcept { return vnodes_; }
 
   /// Overwrite `out` with the key's shard and its first min(r, node_count)
   /// distinct owners, regardless of up/down state (ownership is a
@@ -65,7 +62,6 @@ class HashRing {
   static std::uint64_t key_position(std::string_view key) noexcept;
 
  private:
-  std::size_t vnodes_;
   std::map<std::uint64_t, ReplicaId> ring_;  // vnode position -> owner
   std::map<ReplicaId, bool> nodes_;          // member -> up?
 };

@@ -45,9 +45,8 @@ EventHandle Simulator::schedule_in(SimTime delay, EventFn fn) {
 
 std::uint64_t Simulator::run() {
   std::uint64_t processed = 0;
-  stop_requested_ = false;
   const bool observed = obs::enabled();
-  while (!queue_.empty() && !stop_requested_) {
+  while (!queue_.empty()) {
     auto [when, fn] = queue_.pop();
     now_ = when;
     if (observed) note_dispatch(queue_.size());
@@ -61,16 +60,15 @@ std::uint64_t Simulator::run_until(SimTime until) {
   if (until < now_)
     throw std::invalid_argument{"Simulator::run_until: time in the past"};
   std::uint64_t processed = 0;
-  stop_requested_ = false;
   const bool observed = obs::enabled();
-  while (!queue_.empty() && !stop_requested_ && queue_.next_time() <= until) {
+  while (!queue_.empty() && queue_.next_time() <= until) {
     auto [when, fn] = queue_.pop();
     now_ = when;
     if (observed) note_dispatch(queue_.size());
     fn();
     ++processed;
   }
-  if (now_ < until && !stop_requested_) now_ = until;
+  if (now_ < until) now_ = until;
   return processed;
 }
 

@@ -35,23 +35,18 @@ class Simulator {
   /// Run until the event queue is empty. Returns events processed.
   std::uint64_t run();
 
-  /// Run until the queue is empty or the clock would pass `until`;
-  /// the clock is left at min(until, last event time). Returns events
-  /// processed.
+  /// Run every event due at or before `until` (>= now()), then leave the
+  /// clock at `until`. Returns events processed.
   std::uint64_t run_until(SimTime until);
 
   /// Process exactly one event if available. Returns false if queue empty.
   bool step();
-
-  /// Request that run()/run_until() return after the current event.
-  void stop() noexcept { stop_requested_ = true; }
 
   std::size_t pending_events() const noexcept { return queue_.size(); }
 
  private:
   EventQueue queue_;
   SimTime now_ = 0;
-  bool stop_requested_ = false;
 };
 
 }  // namespace rb::sim

@@ -1,6 +1,5 @@
 #include "workloads/suite.hpp"
 
-#include <chrono>
 #include <stdexcept>
 
 #include "accel/compression.hpp"
@@ -9,6 +8,7 @@
 #include "accel/sort.hpp"
 #include "accel/text.hpp"
 #include "node/energy.hpp"
+#include "obs/trace.hpp"
 #include "query/exec/plan.hpp"
 #include "workloads/generators.hpp"
 
@@ -34,9 +34,8 @@ std::vector<SuiteEntry> standard_suite(double scale) {
 
 namespace {
 
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  const auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(t1 - t0).count();
+double seconds_since(std::int64_t t0_ns) {
+  return static_cast<double>(obs::wall_now_ns() - t0_ns) * 1e-9;
 }
 
 }  // namespace
@@ -50,7 +49,7 @@ std::vector<MeasuredResult> run_measured_suite(double scale,
     MeasuredResult r;
     r.workload = entry.workload;
     r.rows = entry.rows;
-    const auto t0 = std::chrono::steady_clock::now();
+    const std::int64_t t0 = obs::wall_now_ns();
 
     if (entry.workload == "wordcount") {
       const auto doc = zipf_document(entry.rows, 50'000, 1.05, seed);

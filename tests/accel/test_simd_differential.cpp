@@ -20,7 +20,6 @@
 #include "query/exec/plan.hpp"
 #include "query/table.hpp"
 #include "sim/random.hpp"
-#include "support/isa_guard.hpp"
 
 namespace rb::accel::simd {
 namespace {
@@ -30,8 +29,6 @@ constexpr std::int64_t kI64Max = std::numeric_limits<std::int64_t>::max();
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kSubnormal = std::numeric_limits<double>::denorm_min();
 constexpr double kHuge = std::numeric_limits<double>::max();
-
-using test::IsaGuard;
 
 /// Sizes straddling every lane-width boundary (AVX2 selects run 8 lanes,
 /// AVX-512 runs 16/32-row blocks, NEON runs 2) plus ragged tails.

@@ -16,9 +16,9 @@
 #include <utility>
 #include <vector>
 
+#include "accel/simd/simd.hpp"
 #include "sim/hash.hpp"
 #include "sim/random.hpp"
-#include "support/isa_guard.hpp"
 
 namespace rb::net {
 namespace {
@@ -48,7 +48,7 @@ struct GoldenHash {
 /// Runs `body` under every SIMD level this CPU and build can reach.
 template <typename Body>
 void on_every_isa(Body body) {
-  const test::IsaGuard guard;
+  const accel::simd::IsaGuard guard;
   for (const accel::simd::Isa isa : accel::simd::reachable_isas()) {
     ASSERT_TRUE(accel::simd::set_isa(isa));
     body();

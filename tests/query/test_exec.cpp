@@ -141,7 +141,7 @@ TEST(Plan, DescribeShowsFusedChain) {
 TEST(Plan, DescribeKeepsUnfusedOrderBy) {
   auto plan = PlanBuilder(people()).order_by("age").build();
   EXPECT_EQ(chain_of(plan),
-            (std::vector<std::string>{"scan", "order_by", "collect"}));
+            (std::vector<std::string>{"scan", "topk", "collect"}));
 }
 
 TEST(Plan, HugeLimitDoesNotFuseIntoTopK) {
@@ -149,8 +149,8 @@ TEST(Plan, HugeLimitDoesNotFuseIntoTopK) {
                   .order_by("age")
                   .limit(std::size_t{1} << 20)
                   .build();
-  EXPECT_EQ(chain_of(plan), (std::vector<std::string>{
-                                 "scan", "order_by", "limit", "collect"}));
+  EXPECT_EQ(chain_of(plan),
+            (std::vector<std::string>{"scan", "topk", "collect"}));
   EXPECT_EQ(plan.run().row_count(), 4u);
 }
 

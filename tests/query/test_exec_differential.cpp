@@ -174,6 +174,46 @@ TEST(Differential, LsmBackedScanByteIdentical) {
   }
 }
 
+/// Every order_by runs as one TopK, whatever its limit: 70,000 rows (past
+/// 2^16) over 100 distinct keys (heavy ties, so an unstable sort would
+/// show), both directions, no limit and limits on each side of every
+/// boundary, each byte-compared with the interpreter's stable sort.
+TEST(Differential, SortMatchesStableSortAtEveryLimit) {
+  constexpr std::size_t kRows = 70'000;
+  sim::Rng rng{24};
+  std::vector<std::int64_t> key, row;
+  std::vector<std::string> tag;
+  for (std::size_t i = 0; i < kRows; ++i) {
+    key.push_back(static_cast<std::int64_t>(rng.uniform_index(100)) - 50);
+    row.push_back(static_cast<std::int64_t>(i));
+    tag.push_back(std::to_string(i % 7));
+  }
+  Table t;
+  t.add_int_column("key", std::move(key));
+  t.add_int_column("row", std::move(row));
+  t.add_string_column("tag", std::move(tag));
+
+  const std::size_t limits[] = {0,      1,         1'023, 65'536,
+                                65'537, kRows - 1, kRows, kRows + 1};
+  for (const bool descending : {false, true}) {
+    for (std::size_t v = 0; v <= std::size(limits); ++v) {
+      PlanBuilder b{t};
+      b.order_by("key", descending);
+      std::string context = descending ? "desc" : "asc";
+      if (v < std::size(limits)) {
+        b.limit(limits[v]);
+        context += " limit " + std::to_string(limits[v]);
+      }
+      const Plan plan = b.build();
+      ExecStats stats;
+      plan.run({}, &stats);
+      ASSERT_EQ(stats.operators.size(), 2u) << context;
+      EXPECT_EQ(stats.operators[0].op, "topk") << context;
+      expect_run_matches_interpret(plan, {7, 1024, 4096}, context);
+    }
+  }
+}
+
 TEST(Differential, EmptySourceAllStageKinds) {
   Table empty;
   empty.add_int_column("key", {});

@@ -100,13 +100,6 @@ TEST(Query, ChainedFiltersCompose) {
   EXPECT_EQ(result.row_count(), 2u);
 }
 
-TEST(Query, ProjectKeepsOnlyNamedColumns) {
-  const auto result = interpret(people(), {ProjectStage{{"age", "name"}}});
-  EXPECT_EQ(result.column_count(), 2u);
-  EXPECT_EQ(result.column_names()[0], "age");
-  EXPECT_THROW(result.ints("team"), std::invalid_argument);
-}
-
 TEST(Query, OrderByAscendingAndDescending) {
   const auto asc = interpret(people(), {OrderByStage{"age"}});
   EXPECT_EQ(asc.ints("age").front(), 25);
@@ -236,7 +229,7 @@ TEST(Query, EmptyTableSupportsEveryStageKind) {
       {FilterIntStage{"v", [](std::int64_t) { return true; }},
        JoinStage{right, "k", "k"},
        GroupByStage{"s", Aggregate::kSum, "v", "total"},
-       OrderByStage{"total"}, LimitStage{3}, ProjectStage{{"s", "total"}}});
+       OrderByStage{"total"}, LimitStage{3}});
   EXPECT_EQ(result.row_count(), 0u);
   EXPECT_EQ(result.column_names(),
             (std::vector<std::string>{"s", "total"}));

@@ -20,15 +20,6 @@ TEST(Engine, RejectsEmptyCluster) {
                std::invalid_argument);
 }
 
-TEST(Engine, RejectsBadEfficiency) {
-  const auto cluster = make_cpu_cluster(2);
-  FifoPolicy fifo;
-  EngineParams params;
-  params.accel_efficiency = 0.0;
-  EXPECT_THROW(run_jobs(cluster, single_wordcount(1 << 20, 2), fifo, params),
-               std::invalid_argument);
-}
-
 TEST(Engine, SingleJobCompletes) {
   const auto cluster = make_cpu_cluster(2, 4);
   FifoPolicy fifo;

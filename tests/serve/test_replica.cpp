@@ -60,8 +60,7 @@ TEST(ReplicaServer, BatchingAmortizes) {
   }
   sim.run();
   EXPECT_EQ(replica.requests_served(), 24u);
-  EXPECT_LT(replica.batches(), 24u);
-  EXPECT_GT(replica.batch_sizes().mean(), 1.5);
+  EXPECT_LT(replica.batches(), 16u);  // mean batch size above 1.5
   // Amortized per-request cost is below the lone-request cost.
   const auto amortized = ReplicaServer::amortized_service_time(params);
   auto solo = params;

@@ -73,19 +73,6 @@ TEST(Simulator, RunUntilAdvancesClockWhenIdle) {
   EXPECT_THROW(sim.run_until(0), std::invalid_argument);
 }
 
-TEST(Simulator, StopRequestHaltsRun) {
-  Simulator sim;
-  int count = 0;
-  for (int i = 1; i <= 10; ++i) {
-    sim.schedule_at(i, [&] {
-      if (++count == 3) sim.stop();
-    });
-  }
-  EXPECT_EQ(sim.run(), 3u);
-  EXPECT_EQ(count, 3);
-  EXPECT_EQ(sim.pending_events(), 7u);
-}
-
 TEST(Simulator, StepProcessesOneEvent) {
   Simulator sim;
   int count = 0;

@@ -2,74 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <numeric>
-#include <vector>
-
 #include "sim/random.hpp"
 
 namespace rb::sim {
 namespace {
-
-TEST(RunningStats, EmptyIsZero) {
-  RunningStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.variance(), 0.0);
-}
-
-TEST(RunningStats, SingleValue) {
-  RunningStats s;
-  s.add(4.5);
-  EXPECT_EQ(s.count(), 1u);
-  EXPECT_DOUBLE_EQ(s.mean(), 4.5);
-  EXPECT_DOUBLE_EQ(s.min(), 4.5);
-  EXPECT_DOUBLE_EQ(s.max(), 4.5);
-  EXPECT_EQ(s.variance(), 0.0);
-}
-
-TEST(RunningStats, MatchesDirectComputation) {
-  Rng rng{5};
-  std::vector<double> xs;
-  RunningStats s;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.uniform(-10.0, 10.0);
-    xs.push_back(x);
-    s.add(x);
-  }
-  const double mean = std::accumulate(xs.begin(), xs.end(), 0.0) / xs.size();
-  double var = 0.0;
-  for (const double x : xs) var += (x - mean) * (x - mean);
-  var /= static_cast<double>(xs.size() - 1);
-  EXPECT_NEAR(s.mean(), mean, 1e-9);
-  EXPECT_NEAR(s.variance(), var, 1e-9);
-}
-
-TEST(RunningStats, MergeEqualsSequential) {
-  Rng rng{7};
-  RunningStats all, a, b;
-  for (int i = 0; i < 500; ++i) {
-    const double x = rng.normal(3.0, 2.0);
-    all.add(x);
-    (i % 2 == 0 ? a : b).add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(RunningStats, MergeWithEmptyIsNoop) {
-  RunningStats a, empty;
-  a.add(1.0);
-  a.add(2.0);
-  const double mean = a.mean();
-  a.merge(empty);
-  EXPECT_DOUBLE_EQ(a.mean(), mean);
-  EXPECT_EQ(a.count(), 2u);
-}
 
 TEST(PercentileTracker, ThrowsWhenEmpty) {
   PercentileTracker t;
