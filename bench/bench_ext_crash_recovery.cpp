@@ -90,42 +90,62 @@ int main(int argc, char** argv) {
 
   const int reps = quick ? 3 : 5;
   const std::size_t base_ops = quick ? 2'000 : 10'000;
-  double inmem_ns = 0.0;
-  int file_run = 0;
-  for (const std::size_t sync_every : {std::size_t{1}, std::size_t{16}}) {
-    for (const char* backend : {"inmem", "memdev", "filedev"}) {
-      const bool is_file = std::strcmp(backend, "filedev") == 0;
-      // Real per-op fsyncs are expensive; keep that cell small.
-      const std::size_t n = is_file && sync_every == 1
-                                ? (quick ? 300 : 1'000)
-                                : base_ops;
-      const double ms = rb::bench::best_ms(reps, [&] {
-        if (std::strcmp(backend, "inmem") == 0) {
+  // Real per-op fsyncs are expensive; keep that cell small.
+  const std::size_t file_sync1_ops = quick ? 300 : 1'000;
+  const std::size_t cadences[] = {1, 16};
+  struct Cell {
+    std::size_t ops = 0;
+    double ns = 0.0;
+    double vs_inmem = 0.0;
+  };
+  // [cadence][backend: inmem, memdev, filedev]
+  Cell cells[2][3];
+  // The in-memory and MemDevice cells run first, as alternating pairs, so
+  // the FileDevice cells' real fsyncs cannot shift them and vs-mem is the
+  // median of the per-pair ratios.
+  for (int c = 0; c < 2; ++c) {
+    const std::size_t sync_every = cadences[c];
+    const rb::bench::Paired paired = rb::bench::paired_ms(
+        reps,
+        [&] {
           LsmStore store{bench_opts};
-          run_puts(store, n, sync_every);
-        } else if (std::strcmp(backend, "memdev") == 0) {
+          run_puts(store, base_ops, sync_every);
+        },
+        [&] {
           MemDevice device;
           LsmStore store{bench_opts, device};
-          run_puts(store, n, sync_every);
-        } else {
-          const std::string dir = scratch_dir(file_run++);
-          {
-            FileDevice device{dir};
-            LsmStore store{bench_opts, device};
-            run_puts(store, n, sync_every);
-          }
-          std::filesystem::remove_all(dir);
-        }
-      });
-      const double ns = ms * 1e6 / static_cast<double>(n);
-      if (std::strcmp(backend, "inmem") == 0) inmem_ns = ns;
-      const double ratio = inmem_ns > 0.0 ? ns / inmem_ns : 0.0;
-      std::printf("  %-10s %-6zu %8zu %12.0f %7.1fx\n", backend, sync_every,
-                  n, ns, ratio);
-      const std::string tag = std::string{"put."} + backend + ".sync" +
-                              std::to_string(sync_every);
-      report.metric(tag + ".ns_per_op", ns);
-      report.metric(tag + ".vs_inmem", ratio);
+          run_puts(store, base_ops, sync_every);
+        });
+    const double per_op = 1e6 / static_cast<double>(base_ops);
+    cells[c][0] = {base_ops, paired.base_ms * per_op, 1.0};
+    cells[c][1] = {base_ops, paired.cand_ms * per_op, paired.ratio};
+  }
+  int file_run = 0;
+  for (int c = 0; c < 2; ++c) {
+    const std::size_t sync_every = cadences[c];
+    const std::size_t n = sync_every == 1 ? file_sync1_ops : base_ops;
+    const double ms = rb::bench::best_ms(reps, [&] {
+      const std::string dir = scratch_dir(file_run++);
+      {
+        FileDevice device{dir};
+        LsmStore store{bench_opts, device};
+        run_puts(store, n, sync_every);
+      }
+      std::filesystem::remove_all(dir);
+    });
+    const double ns = ms * 1e6 / static_cast<double>(n);
+    cells[c][2] = {n, ns, ns / cells[c][0].ns};
+  }
+  const char* const backends[] = {"inmem", "memdev", "filedev"};
+  for (int c = 0; c < 2; ++c) {
+    for (int b = 0; b < 3; ++b) {
+      const Cell& cell = cells[c][b];
+      std::printf("  %-10s %-6zu %8zu %12.0f %7.1fx\n", backends[b],
+                  cadences[c], cell.ops, cell.ns, cell.vs_inmem);
+      const std::string tag = std::string{"put."} + backends[b] + ".sync" +
+                              std::to_string(cadences[c]);
+      report.metric(tag + ".ns_per_op", cell.ns);
+      report.metric(tag + ".vs_inmem", cell.vs_inmem);
     }
   }
 

@@ -86,9 +86,16 @@ std::uint32_t FlowSimulator::acquire_slot() {
   return idx;
 }
 
+std::uint32_t FlowSimulator::find_slot(FlowId id) const {
+  if (id == 0) return kNoSlot;  // free slots carry id 0
+  for (std::uint32_t i = 0; i < slots_.size(); ++i) {
+    if (slots_[i].id == id) return i;
+  }
+  return kNoSlot;
+}
+
 void FlowSimulator::release_slot(std::uint32_t idx) {
   FlowSlot& s = slots_[idx];
-  id_to_slot_.erase(s.id);
   s.id = 0;
   s.on_complete = nullptr;
   s.path.clear();  // keeps capacity for the next tenant
@@ -191,17 +198,15 @@ FlowId FlowSimulator::start_flow(NodeId src, NodeId dst, sim::Bytes size,
   s.id = id;
   s.path.swap(path_scratch_);
   s.on_complete = std::move(on_complete);
-  id_to_slot_.emplace(id, idx);
   link_flow(idx);
   request_realloc();
   return id;
 }
 
 bool FlowSimulator::cancel_flow(FlowId id) {
-  const auto it = id_to_slot_.find(id);
-  if (it == id_to_slot_.end()) return false;
+  const std::uint32_t idx = find_slot(id);
+  if (idx == kNoSlot) return false;
   advance_to_now();
-  const std::uint32_t idx = it->second;
   unlink_flow(idx);
   release_slot(idx);
   ++cancelled_;
@@ -269,13 +274,13 @@ void FlowSimulator::handle_topology_change() {
 }
 
 double FlowSimulator::current_rate(FlowId id) const {
-  const auto it = id_to_slot_.find(id);
-  if (it == id_to_slot_.end())
+  const std::uint32_t idx = find_slot(id);
+  if (idx == kNoSlot)
     throw std::invalid_argument{"FlowSimulator::current_rate: unknown flow"};
   // Settle any same-timestamp coalesced epoch so the caller never sees a
   // stale (or zero, for a just-started flow) rate.
   const_cast<FlowSimulator*>(this)->flush_realloc();
-  return slots_[it->second].rate;
+  return slots_[idx].rate;
 }
 
 void FlowSimulator::advance_to_now() {
@@ -328,30 +333,22 @@ void FlowSimulator::solve_maxmin() {
   if (active_count_ == 0) return;
   // Fetched per solve, so set_isa() and RB_SIMD reach the next epoch.
   const accel::simd::Kernels& simd = accel::simd::kernels();
-  ++solve_epoch_;
+  // Init walks the directed links, not the flows' hops: a link's unfrozen
+  // count starts at its membership size and its residual at its rate.
   active_links_.clear();
-  for (FlowSlot& s : slots_) {
-    if (s.id == 0) continue;
-    s.frozen = false;
-    for (const PathHop& hop : s.path) {
-      DirLink& dl = dlinks_[hop.dlink];
-      if (dl.inited != solve_epoch_) {
-        dl.inited = solve_epoch_;
-        dl.remaining_cap = topo_->link(static_cast<LinkId>(hop.dlink >> 1)).rate;
-        dl.unfrozen = 0;
-        dl.pos = static_cast<std::uint32_t>(active_links_.size());
-        active_links_.push_back(hop.dlink);
-      }
-      ++dl.unfrozen;
-    }
+  share_.clear();
+  for (std::uint32_t d = 0; d < dlinks_.size(); ++d) {
+    DirLink& dl = dlinks_[d];
+    if (dl.flows.empty()) continue;
+    dl.remaining_cap = topo_->link(static_cast<LinkId>(d >> 1)).rate;
+    dl.unfrozen = static_cast<std::int32_t>(dl.flows.size());
+    dl.pos = static_cast<std::uint32_t>(active_links_.size());
+    active_links_.push_back(d);
+    share_.push_back(dl.remaining_cap / dl.unfrozen);
   }
+  for (FlowSlot& s : slots_) s.frozen = false;
   const std::size_t n = active_links_.size();
-  share_.resize(n);
   double* const share = share_.data();
-  for (std::size_t p = 0; p < n; ++p) {
-    const DirLink& dl = dlinks_[active_links_[p]];
-    share[p] = dl.remaining_cap / dl.unfrozen;
-  }
 
   // Max-min fair: progressive filling over directed link capacities. Each
   // round takes the minimum share as the bottleneck, then walks the links

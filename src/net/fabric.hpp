@@ -165,19 +165,23 @@ class FlowSimulator {
     std::uint32_t hop = 0;
   };
 
-  /// Per-directed-link state, indexed by directed link index. Scratch fields
-  /// are epoch-stamped so solves never pay an O(links) clear.
+  /// Per-directed-link state, indexed by directed link index (40 bytes).
+  /// The scratch fields are valid only for links with a non-empty `flows`
+  /// list; each solve's init pass sets them from `flows.size()` and the
+  /// link's rate.
   struct DirLink {
     std::vector<LinkEntry> flows;  ///< active flows crossing this direction
     double remaining_cap = 0.0;    ///< solver scratch
     std::int32_t unfrozen = 0;     ///< solver scratch
     std::uint32_t pos = 0;         ///< solver scratch: index into share_
-    std::uint64_t inited = 0;      ///< solve-epoch stamp for scratch validity
   };
 
   // --- arena plumbing ---
   void ensure_dlinks();
   std::uint32_t acquire_slot();
+  /// Arena slot of the active flow `id`, or kNoSlot. A linear scan of the
+  /// arena: only cancel_flow and current_rate look a flow up by id.
+  std::uint32_t find_slot(FlowId id) const;
   void release_slot(std::uint32_t idx);
   void link_flow(std::uint32_t idx);
   void unlink_flow(std::uint32_t idx);
@@ -217,15 +221,12 @@ class FlowSimulator {
   std::uint32_t free_head_ = kNoSlot;
   std::uint32_t active_count_ = 0;
   std::vector<DirLink> dlinks_;
-  /// FlowId → slot; consulted only on the API boundary (cancel/current_rate),
-  /// never inside the solver loops.
-  std::unordered_map<FlowId, std::uint32_t> id_to_slot_;
 
   bool realloc_pending_ = false;
   sim::EventHandle realloc_event_;
-  std::uint64_t solve_epoch_ = 0;
   // Reusable solver scratch (kept hot across epochs, never shrunk).
-  /// Directed links the current solve touches, in first-touch order.
+  /// Directed links that carry at least one flow in the current solve, in
+  /// directed-link index order.
   std::vector<std::uint32_t> active_links_;
   /// share_[p]: the bottleneck share remaining_cap / unfrozen of
   /// active_links_[p], or +inf once the link has no unfrozen flow.

@@ -1,6 +1,5 @@
 #include "net/routing.hpp"
 
-#include <deque>
 #include <limits>
 
 #include "sim/hash.hpp"
@@ -30,15 +29,16 @@ void Router::ensure_dist(NodeId dst) const {
   // A dead destination is unreachable from everywhere (including itself).
   if (topo_->node_up(dst)) {
     d[dst] = 0;
-    std::deque<NodeId> frontier{dst};
-    while (!frontier.empty()) {
-      const NodeId cur = frontier.front();
-      frontier.pop_front();
+    // BFS queue: nodes are appended once each and read in order by index.
+    frontier_.clear();
+    frontier_.push_back(dst);
+    for (std::size_t head = 0; head < frontier_.size(); ++head) {
+      const NodeId cur = frontier_[head];
       for (const auto& [peer, link] : topo_->adjacency(cur)) {
         if (!topo_->link_usable(link)) continue;
         if (d[peer] == kUnreachable) {
           d[peer] = d[cur] + 1;
-          frontier.push_back(peer);
+          frontier_.push_back(peer);
         }
       }
     }

@@ -11,7 +11,9 @@
 // buffer and the distance field are warm: at each hop it walks the node's
 // adjacency twice, once to count the equal-cost options and once to take
 // the hashed one. Callers on hot paths (FlowSimulator, FrontDoor) keep one
-// scratch vector and pass it on every call.
+// scratch vector and pass it on every call. Recomputing a distance field
+// allocates nothing either once the router is warm: the field is refilled
+// in place and the BFS queue is one reused member vector read by index.
 //
 // The router is failure-aware: dead links and dead nodes (see
 // Topology::set_link_up / set_node_up) are excluded from the BFS, and all
@@ -61,6 +63,8 @@ class Router {
   mutable std::vector<std::vector<int>> dist_;
   mutable std::vector<bool> computed_;
   mutable std::uint64_t epoch_ = 0;
+  /// ensure_dist's BFS queue, kept across calls for its capacity.
+  mutable std::vector<NodeId> frontier_;
 };
 
 }  // namespace rb::net

@@ -1,8 +1,9 @@
 // Allocator fast-path coverage: golden determinism of the arena rewrite,
 // differential testing of the progressive-filling solver against a
 // map-based reference implementation on fat-tree(4) and fat-tree(8), under
-// uniform and rack-local traffic (both under every reachable SIMD level),
-// reroute freshness, and event-coalescing accounting.
+// uniform and rack-local traffic and under link flaps with reroutes and
+// failures (all under every reachable SIMD level), lookups of unknown flow
+// ids, reroute freshness, and event-coalescing accounting.
 
 #include "net/fabric.hpp"
 
@@ -11,6 +12,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <unordered_map>
 #include <utility>
@@ -328,6 +330,20 @@ std::pair<NodeId, NodeId> pick_pair(const Topology& topo,
   return {src, dst};
 }
 
+/// Every tracked flow's rate against the map solver's, after op `op`.
+void expect_rates_match(
+    const FlowSimulator& fabric, const Topology& topo,
+    const std::map<FlowId, std::vector<std::uint64_t>>& paths,
+    std::uint64_t seed, int op) {
+  const auto expected = reference_maxmin(topo, paths);
+  ASSERT_EQ(expected.size(), paths.size());
+  for (const auto& [id, rate] : expected) {
+    EXPECT_DOUBLE_EQ(fabric.current_rate(id), rate)
+        << accel::simd::to_string(accel::simd::active_isa())
+        << " seed=" << seed << " op=" << op << " flow=" << id;
+  }
+}
+
 /// One seeded churn script of `ops` starts and cancels on `topo`, checked
 /// against the map solver after every op.
 void expect_matches_map_solver(const Topology& topo, Traffic traffic,
@@ -353,13 +369,7 @@ void expect_matches_map_solver(const Topology& topo, Traffic traffic,
       ASSERT_TRUE(fabric.cancel_flow(id));
       paths.erase(id);
     }
-    const auto expected = reference_maxmin(topo, paths);
-    ASSERT_EQ(expected.size(), paths.size());
-    for (const auto& [id, rate] : expected) {
-      EXPECT_DOUBLE_EQ(fabric.current_rate(id), rate)
-          << accel::simd::to_string(accel::simd::active_isa())
-          << " seed=" << seed << " op=" << op << " flow=" << id;
-    }
+    expect_rates_match(fabric, topo, paths, seed, op);
   }
 }
 
@@ -387,6 +397,194 @@ TEST(MaxMinReference, FatTree8RackLocalMatchesMapSolver) {
   const auto topo = make_fat_tree(8);
   on_every_isa(
       [&] { expect_matches_map_solver(topo, Traffic::kRackLocal, 505, 600); });
+}
+
+/// True when `dpath` crosses a link that cannot carry traffic: the test of
+/// FlowSimulator's path_is_live for a flow whose endpoints are up.
+bool crosses_dead_link(const Topology& topo,
+                       const std::vector<std::uint64_t>& dpath) {
+  return std::any_of(dpath.begin(), dpath.end(), [&](std::uint64_t key) {
+    return !topo.link_usable(static_cast<LinkId>(key >> 1));
+  });
+}
+
+struct FlapCounts {
+  std::uint64_t rerouted = 0;
+  std::uint64_t failed = 0;
+};
+
+/// A churn script of starts, cancels and link faults on fat-tree(8): one
+/// switch-to-switch link goes down or comes back, or an edge switch loses
+/// every uplink (so its rack's cross-rack flows fail), each followed by
+/// handle_topology_change(). The oracle mirrors the fabric's rule: a flow
+/// moves only when its path crosses a dead link, onto the router's path for
+/// its id, and fails when no path is left. Every rate is checked against the
+/// map solver after every op. The solver's init takes each directed link's
+/// unfrozen count from its membership list, so a stale entry left by a
+/// reroute or a failure would show here as a wrong rate.
+void expect_matches_map_solver_with_flaps(std::uint64_t seed, int ops,
+                                          FlapCounts& counts) {
+  auto topo = make_fat_tree(8);
+  sim::Simulator sim;
+  const Router router{topo};
+  FlowSimulator fabric{sim, topo, router};
+  const auto hosts = topo.nodes_of_kind(NodeKind::kHost);
+  const auto edges = topo.nodes_of_kind(NodeKind::kEdgeSwitch);
+  std::vector<LinkId> switch_links;
+  for (LinkId id = 0; id < topo.link_count(); ++id) {
+    const Link& link = topo.link(id);
+    if (topo.node(link.a).kind != NodeKind::kHost &&
+        topo.node(link.b).kind != NodeKind::kHost) {
+      switch_links.push_back(id);
+    }
+  }
+  constexpr std::size_t kMaxDown = 8;
+  sim::Rng rng{seed};
+  std::map<FlowId, std::vector<std::uint64_t>> paths;
+  std::map<FlowId, std::pair<NodeId, NodeId>> ends;
+  std::vector<LinkId> down;
+  const auto set_link = [&](LinkId id, bool up) {
+    topo.set_link_up(id, up);
+    if (up) {
+      down.erase(std::find(down.begin(), down.end(), id));
+    } else {
+      down.push_back(id);
+    }
+  };
+  for (int op = 0; op < ops; ++op) {
+    const double r = rng.uniform();
+    bool topology_changed = false;
+    if (paths.empty() || r < 0.5) {
+      const auto [src, dst] = pick_pair(topo, hosts, Traffic::kUniform, rng);
+      try {
+        const FlowId id = fabric.start_flow(src, dst, 64 * sim::kMiB, {});
+        paths.emplace(id, directed_path(topo, router, id, src, dst));
+        ends.emplace(id, std::make_pair(src, dst));
+      } catch (const NoRouteError&) {
+        // The rack is cut off: the fabric starts no flow.
+      }
+    } else if (r < 0.7) {
+      auto it = paths.begin();
+      std::advance(it, static_cast<std::ptrdiff_t>(
+                           rng.uniform_index(paths.size())));
+      const FlowId id = it->first;
+      EXPECT_TRUE(fabric.cancel_flow(id)) << "seed=" << seed << " op=" << op;
+      paths.erase(it);
+      ends.erase(id);
+    } else if (r < 0.86 && down.size() < kMaxDown) {
+      const LinkId id = switch_links[rng.uniform_index(switch_links.size())];
+      if (topo.link_up(id)) set_link(id, false);
+      topology_changed = true;
+    } else if (r < 0.9 && down.size() < kMaxDown) {
+      const NodeId edge = edges[rng.uniform_index(edges.size())];
+      for (const auto& [peer, link] : topo.adjacency(edge)) {
+        if (topo.node(peer).kind != NodeKind::kHost && topo.link_up(link)) {
+          set_link(link, false);
+        }
+      }
+      topology_changed = true;
+    } else if (!down.empty()) {
+      set_link(down[rng.uniform_index(down.size())], true);
+      topology_changed = true;
+    }
+    if (topology_changed) {
+      fabric.handle_topology_change();
+      for (auto it = paths.begin(); it != paths.end();) {
+        if (!crosses_dead_link(topo, it->second)) {
+          ++it;
+          continue;
+        }
+        const auto [src, dst] = ends.at(it->first);
+        try {
+          it->second = directed_path(topo, router, it->first, src, dst);
+          ++counts.rerouted;
+          ++it;
+        } catch (const NoRouteError&) {
+          ++counts.failed;
+          ends.erase(it->first);
+          it = paths.erase(it);
+        }
+      }
+    }
+    ASSERT_EQ(fabric.active_flows(), paths.size())
+        << "seed=" << seed << " op=" << op;
+    ASSERT_EQ(fabric.rerouted_flows(), counts.rerouted)
+        << "seed=" << seed << " op=" << op;
+    ASSERT_EQ(fabric.failed_flows(), counts.failed)
+        << "seed=" << seed << " op=" << op;
+    expect_rates_match(fabric, topo, paths, seed, op);
+  }
+}
+
+/// Starts, cancels, flaps, reroutes and failures on fat-tree(8), under
+/// every reachable ISA; the script must actually move and fail flows.
+TEST(MaxMinReference, FatTree8FlapsAndReroutesMatchMapSolver) {
+  on_every_isa([&] {
+    FlapCounts counts;
+    expect_matches_map_solver_with_flaps(606, 700, counts);
+    EXPECT_GT(counts.rerouted, 0u);
+    EXPECT_GT(counts.failed, 0u);
+  });
+}
+
+// ---------------------------------------------------------------------------
+// Unknown ids: cancel_flow and current_rate find a flow by scanning the
+// arena, whose free slots carry id 0. No id that names no active flow may
+// match a slot, free or not.
+// ---------------------------------------------------------------------------
+
+TEST(MaxMinLookup, UnknownIdsMatchNoSlot) {
+  FabricParams params;
+  params.host_gen = EthernetGen::k10G;
+  params.fabric_gen = EthernetGen::k10G;
+  auto topo = make_leaf_spine(2, 2, 2, params);
+  sim::Simulator sim;
+  const Router router{topo};
+  FlowSimulator fabric{sim, topo, router};
+  const auto hosts = topo.nodes_of_kind(NodeKind::kHost);
+  ASSERT_EQ(hosts.size(), 4u);
+  FlowId completed = 0;
+  const FlowId small =
+      fabric.start_flow(hosts[0], hosts[1], 1'000'000,
+                        [&](const FlowRecord& r) { completed = r.id; });
+  const FlowId cancelled = fabric.start_flow(hosts[1], hosts[0], 400'000'000);
+  const FlowId doomed = fabric.start_flow(hosts[2], hosts[3], 400'000'000);
+  const FlowId live = fabric.start_flow(hosts[0], hosts[2], 400'000'000);
+  sim.run_until(10 * sim::kMillisecond);
+  ASSERT_EQ(completed, small);
+  ASSERT_TRUE(fabric.cancel_flow(cancelled));
+  // Cutting hosts[3] off fails the one flow that ends there.
+  const LinkId host3_link = topo.adjacency(hosts[3]).front().second;
+  topo.set_link_up(host3_link, false);
+  fabric.handle_topology_change();
+  ASSERT_EQ(fabric.failed_flows(), 1u);
+  ASSERT_EQ(fabric.active_flows(), 1u);  // three of four slots are free
+
+  const FlowId never_started = live + 1000;
+  for (const FlowId id : {FlowId{0}, small, cancelled, doomed, never_started}) {
+    EXPECT_FALSE(fabric.cancel_flow(id)) << "id=" << id;
+    EXPECT_THROW(fabric.current_rate(id), std::invalid_argument) << "id=" << id;
+  }
+  EXPECT_EQ(fabric.cancelled_flows(), 1u);
+  EXPECT_EQ(fabric.active_flows(), 1u);
+  EXPECT_DOUBLE_EQ(fabric.current_rate(live), 10e9);
+
+  // The free slots serve new flows: three flows into hosts[2] split its
+  // 10G downlink.
+  topo.set_link_up(host3_link, true);
+  fabric.handle_topology_change();
+  const FlowId a = fabric.start_flow(hosts[1], hosts[2], 400'000'000);
+  const FlowId b = fabric.start_flow(hosts[3], hosts[2], 400'000'000);
+  for (const FlowId id : {live, a, b}) {
+    EXPECT_NEAR(fabric.current_rate(id), 10e9 / 3.0, 1e3) << "id=" << id;
+  }
+  EXPECT_TRUE(fabric.cancel_flow(a));
+  EXPECT_FALSE(fabric.cancel_flow(a));
+  EXPECT_NEAR(fabric.current_rate(live), 5e9, 1e3);
+  EXPECT_NEAR(fabric.current_rate(b), 5e9, 1e3);
+  sim.run();
+  EXPECT_EQ(fabric.completed_flows(), 3u);  // small, live and b
+  EXPECT_EQ(fabric.active_flows(), 0u);
 }
 
 // ---------------------------------------------------------------------------
