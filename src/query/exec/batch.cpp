@@ -97,8 +97,8 @@ void ColumnBatch::set_row_count(std::size_t n) {
   rows_ = n;
 }
 
-void ColumnBatch::set_selection(std::vector<std::uint32_t> sel) {
-  selection_ = std::move(sel);
+void ColumnBatch::set_selection(std::vector<std::uint32_t>& sel) {
+  selection_.swap(sel);
   has_selection_ = true;
 }
 

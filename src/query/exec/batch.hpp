@@ -83,9 +83,11 @@ class ColumnBatch {
   const std::vector<std::uint32_t>& selection() const noexcept {
     return selection_;
   }
-  /// Take ownership of a selection vector (indices must be < row_count(),
-  /// ascending; not re-checked on the hot path).
-  void set_selection(std::vector<std::uint32_t> sel);
+  /// Swap `sel` in as the selection (indices must be < row_count(),
+  /// ascending; not re-checked on the hot path). `sel` gets the batch's
+  /// previous selection buffer back, contents unspecified, so a caller that
+  /// keeps it reuses the two buffers instead of allocating one per batch.
+  void set_selection(std::vector<std::uint32_t>& sel);
   void clear_selection() noexcept;
 
   /// Drop all rows and the selection; keeps column capacity reserved.

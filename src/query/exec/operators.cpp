@@ -9,8 +9,8 @@ namespace rb::query::exec {
 
 namespace {
 
-/// Sentinel for "no further entry" in the join match chains.
-constexpr std::int32_t kChainEnd = -1;
+/// next_ value of a key's last build row in the hash join.
+constexpr std::uint32_t kChainEnd = UINT32_MAX;
 
 /// Capacity of a row buffer whose final size is unknown: it reserves
 /// nothing up front and grows as rows arrive.
@@ -20,6 +20,33 @@ constexpr std::size_t kGrowingBuffer = 1;
 obs::Counter* simd_rows_counter(const char* kernel) {
   return &obs::Registry::global().counter("accel.simd_rows",
                                           {{"kernel", kernel}});
+}
+
+/// Stage `batch`'s active rows for one find_batch call: rows[i] is the
+/// i-th active row and keys[i] its code(row), written by index into
+/// buffers resized once per batch. Returns the active row count.
+template <typename Code>
+std::size_t stage_active(const ColumnBatch& batch,
+                         std::vector<std::uint32_t>& rows,
+                         std::vector<std::uint64_t>& keys, Code code) {
+  const std::size_t n = batch.active_count();
+  rows.resize(n);
+  keys.resize(n);
+  std::size_t i = 0;
+  batch.for_each_active([&](std::uint32_t r) {
+    rows[i] = r;
+    keys[i] = code(r);
+    ++i;
+  });
+  return n;
+}
+
+/// dst = (src[rows[0]], ..., src[rows[n - 1]]).
+template <typename T>
+void gather(std::vector<T>& dst, const std::vector<T>& src,
+            const std::uint32_t* rows, std::size_t n) {
+  dst.resize(n);
+  for (std::size_t i = 0; i < n; ++i) dst[i] = src[rows[i]];
 }
 
 }  // namespace
@@ -146,8 +173,7 @@ void FilterInt::do_push(ColumnBatch& batch) {
       if (pred_(values[r])) sel_scratch_.push_back(r);
     });
   }
-  batch.set_selection(std::move(sel_scratch_));
-  sel_scratch_ = {};
+  batch.set_selection(sel_scratch_);
   emit(batch);
 }
 
@@ -183,73 +209,61 @@ void HashJoin::open() {
   const auto& keys = right_->ints(right_key_);
   const std::size_t n = keys.size();
   table_ = accel::HashTable64{n};
-  chains_.clear();
-  entry_row_.resize(n);
-  entry_next_.assign(n, kChainEnd);
-  for (std::size_t i = 0; i < n; ++i) {
+  // Insert the rows last to first, so each key's value ends as its first
+  // row. A row whose key is present takes over as its head and links to
+  // the head it displaces, the key's next row.
+  next_.assign(n, kChainEnd);
+  for (std::size_t i = n; i-- > 0;) {
     const auto row = static_cast<std::uint32_t>(i);
-    const auto code = static_cast<std::uint64_t>(keys[i]);
-    entry_row_[i] = row;
-    const std::uint64_t* found = table_.find(code);
-    if (found == nullptr) {
-      const auto chain = static_cast<std::uint64_t>(chains_.size());
-      chains_.push_back(Chain{row, row});
-      table_.upsert(code, chain,
-                    [](std::uint64_t old, std::uint64_t) { return old; });
-    } else {
-      auto& chain = chains_[static_cast<std::size_t>(*found)];
-      entry_next_[chain.last] = static_cast<std::int32_t>(row);
-      chain.last = row;
-    }
+    table_.upsert(static_cast<std::uint64_t>(keys[i]), row,
+                  [this, row](std::uint64_t head, std::uint64_t) {
+                    next_[row] = static_cast<std::uint32_t>(head);
+                    return std::uint64_t{row};
+                  });
   }
   count_build_rows(n);
   out_batch_ = std::make_unique<ColumnBatch>(out_schema_, batch_capacity_);
-  pairs_.reserve(batch_capacity_);
+  match_left_.resize(batch_capacity_);
+  match_right_.resize(batch_capacity_);
+  matches_ = 0;
 }
 
-void HashJoin::flush_pairs(const ColumnBatch& batch) {
-  if (pairs_.empty()) return;
+void HashJoin::flush_matches(const ColumnBatch& batch) {
+  if (matches_ == 0) return;
+  const std::uint32_t* left = match_left_.data();
+  const std::uint32_t* right = match_right_.data();
   for (std::size_t c = 0; c < left_width_; ++c) {
     if (out_schema_->at(c).type == ColumnType::kInt) {
-      const auto& src = batch.ints(c);
-      auto& dst = out_batch_->ints(c);
-      for (const auto& p : pairs_) dst.push_back(src[p.first]);
+      gather(out_batch_->ints(c), batch.ints(c), left, matches_);
     } else {
-      const auto& src = batch.strings(c);
-      auto& dst = out_batch_->strings(c);
-      for (const auto& p : pairs_) dst.push_back(src[p.first]);
+      gather(out_batch_->strings(c), batch.strings(c), left, matches_);
     }
   }
   for (std::size_t c = 0; c < right_int_cols_.size(); ++c) {
     if (right_int_cols_[c] != nullptr) {
-      const auto& src = *right_int_cols_[c];
-      auto& dst = out_batch_->ints(left_width_ + c);
-      for (const auto& p : pairs_) dst.push_back(src[p.second]);
+      gather(out_batch_->ints(left_width_ + c), *right_int_cols_[c], right,
+             matches_);
     } else {
-      const auto& src = *right_str_cols_[c];
-      auto& dst = out_batch_->strings(left_width_ + c);
-      for (const auto& p : pairs_) dst.push_back(src[p.second]);
+      gather(out_batch_->strings(left_width_ + c), *right_str_cols_[c], right,
+             matches_);
     }
   }
-  out_batch_->set_row_count(pairs_.size());
-  pairs_.clear();
+  out_batch_->set_row_count(matches_);
+  matches_ = 0;
   emit(*out_batch_);
   out_batch_->clear();
 }
 
 void HashJoin::do_push(ColumnBatch& batch) {
   const auto& keys = batch.ints(left_key_col_);
-  // Vertical probe: gather the active keys, look them all up in one
-  // find_batch call (gather-based on wide ISAs), then walk match chains in
-  // row order. Emission order and mid-chain flush points are identical to
-  // the per-row find() loop this replaces.
-  probe_rows_.clear();
-  probe_keys_.clear();
-  batch.for_each_active([&](std::uint32_t l) {
-    probe_rows_.push_back(l);
-    probe_keys_.push_back(static_cast<std::uint64_t>(keys[l]));
-  });
-  const std::size_t n = probe_keys_.size();
+  // Vertical probe: stage the active keys, look them all up in one
+  // find_batch call (gather-based on wide ISAs), then walk each found
+  // key's build rows. Matches flush whenever the index lists fill, and at
+  // the end of the batch.
+  const std::size_t n =
+      stage_active(batch, probe_rows_, probe_keys_, [&keys](std::uint32_t r) {
+        return static_cast<std::uint64_t>(keys[r]);
+      });
   probe_vals_.resize(n);
   probe_found_.resize(n);
   table_.find_batch(probe_keys_.data(), n, probe_vals_.data(),
@@ -261,19 +275,14 @@ void HashJoin::do_push(ColumnBatch& batch) {
   for (std::size_t i = 0; i < n; ++i) {
     if (probe_found_[i] == 0) continue;
     const std::uint32_t l = probe_rows_[i];
-    std::int32_t e = static_cast<std::int32_t>(
-        chains_[static_cast<std::size_t>(probe_vals_[i])].first);
-    while (e != kChainEnd) {
-      pairs_.emplace_back(l, entry_row_[static_cast<std::size_t>(e)]);
-      if (pairs_.size() >= batch_capacity_) flush_pairs(batch);
-      e = entry_next_[static_cast<std::size_t>(e)];
+    for (auto r = static_cast<std::uint32_t>(probe_vals_[i]); r != kChainEnd;
+         r = next_[r]) {
+      match_left_[matches_] = l;
+      match_right_[matches_] = r;
+      if (++matches_ == batch_capacity_) flush_matches(batch);
     }
   }
-  flush_pairs(batch);
-}
-
-void HashJoin::do_finish() {
-  // Probe emits eagerly; nothing is buffered across batches.
+  flush_matches(batch);
 }
 
 /// --- GroupAggregate ------------------------------------------------------
@@ -295,74 +304,82 @@ GroupAggregate::GroupAggregate(const SchemaPtr& in, std::string key,
 }
 
 std::uint32_t GroupAggregate::slot_for(std::uint64_t code) {
-  const std::uint64_t* found = table_.find(code);
-  if (found != nullptr) return static_cast<std::uint32_t>(*found);
-  const auto slot = static_cast<std::uint32_t>(accs_.size());
-  accs_.push_back(Acc{});
-  codes_.push_back(code);
-  table_.upsert(code, slot,
-                [](std::uint64_t old, std::uint64_t) { return old; });
+  auto slot = static_cast<std::uint32_t>(accs_.size());
+  table_.upsert(code, slot, [&slot](std::uint64_t old, std::uint64_t) {
+    slot = static_cast<std::uint32_t>(old);
+    return old;
+  });
+  if (slot == accs_.size()) {
+    accs_.push_back(Acc{});
+    codes_.push_back(code);
+  }
   return slot;
 }
 
-void GroupAggregate::accumulate(std::uint32_t slot, std::int64_t v) {
-  Acc& acc = accs_[slot];
-  switch (agg_) {
-    case Aggregate::kSum:
+template <Aggregate A>
+void GroupAggregate::accumulate(const std::vector<std::int64_t>& values,
+                                std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t slot = probe_found_[i] != 0
+                                   ? static_cast<std::uint32_t>(probe_vals_[i])
+                                   : slot_for(probe_keys_[i]);
+    Acc& acc = accs_[slot];
+    const std::int64_t v = values[probe_rows_[i]];
+    if constexpr (A == Aggregate::kSum) {
       acc.sum += static_cast<std::uint64_t>(v);
-      break;
-    case Aggregate::kCount:
-      break;  // n counts below
-    case Aggregate::kMin:
+    } else if constexpr (A == Aggregate::kMin) {
       if (acc.n == 0 || v < acc.extreme) acc.extreme = v;
-      break;
-    case Aggregate::kMax:
+    } else if constexpr (A == Aggregate::kMax) {
       if (acc.n == 0 || v > acc.extreme) acc.extreme = v;
-      break;
+    }
+    ++acc.n;  // COUNT reads n alone
   }
-  ++acc.n;
 }
 
 void GroupAggregate::do_push(ColumnBatch& batch) {
-  const auto& values = batch.ints(value_col_);
+  // Batched slot lookup: stage every active row's key code, probe them all
+  // in one SIMD find_batch call, then accumulate in row order. A miss
+  // means a new group — or an intra-batch duplicate of one — and falls
+  // back to slot_for, which inserts on first touch and finds the slot on
+  // the second, so slot assignment order matches a per-row loop exactly.
+  // A string key's code is its dictionary index, by first appearance.
+  std::size_t n = 0;
   if (string_key_) {
     const auto& keys = batch.strings(key_col_);
-    batch.for_each_active([&](std::uint32_t r) {
+    n = stage_active(batch, probe_rows_, probe_keys_, [&](std::uint32_t r) {
       const auto [it, inserted] =
           dict_codes_.try_emplace(keys[r], dictionary_.size());
       if (inserted) dictionary_.push_back(keys[r]);
-      accumulate(slot_for(it->second), values[r]);
+      return it->second;
     });
   } else {
     const auto& keys = batch.ints(key_col_);
-    // Batched slot lookup: probe every active key in one SIMD find_batch
-    // call, then accumulate in row order. A miss means a new group — or an
-    // intra-batch duplicate of one — and falls back to slot_for, which
-    // inserts on first touch and finds the slot on the second, so slot
-    // assignment order matches the per-row loop exactly.
-    probe_rows_.clear();
-    probe_keys_.clear();
-    batch.for_each_active([&](std::uint32_t r) {
-      probe_rows_.push_back(r);
-      probe_keys_.push_back(static_cast<std::uint64_t>(keys[r]));
+    n = stage_active(batch, probe_rows_, probe_keys_, [&keys](std::uint32_t r) {
+      return static_cast<std::uint64_t>(keys[r]);
     });
-    const std::size_t n = probe_keys_.size();
-    probe_vals_.resize(n);
-    probe_found_.resize(n);
-    table_.find_batch(probe_keys_.data(), n, probe_vals_.data(),
-                      probe_found_.data());
-    if (obs::enabled()) {
-      if (c_simd_rows_ == nullptr) {
-        c_simd_rows_ = simd_rows_counter("group_probe");
-      }
-      c_simd_rows_->add(n);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint32_t slot =
-          probe_found_[i] != 0 ? static_cast<std::uint32_t>(probe_vals_[i])
-                               : slot_for(probe_keys_[i]);
-      accumulate(slot, values[probe_rows_[i]]);
-    }
+  }
+  probe_vals_.resize(n);
+  probe_found_.resize(n);
+  table_.find_batch(probe_keys_.data(), n, probe_vals_.data(),
+                    probe_found_.data());
+  if (obs::enabled()) {
+    if (c_simd_rows_ == nullptr) c_simd_rows_ = simd_rows_counter("group_probe");
+    c_simd_rows_->add(n);
+  }
+  const auto& values = batch.ints(value_col_);
+  switch (agg_) {
+    case Aggregate::kSum:
+      accumulate<Aggregate::kSum>(values, n);
+      break;
+    case Aggregate::kCount:
+      accumulate<Aggregate::kCount>(values, n);
+      break;
+    case Aggregate::kMin:
+      accumulate<Aggregate::kMin>(values, n);
+      break;
+    case Aggregate::kMax:
+      accumulate<Aggregate::kMax>(values, n);
+      break;
   }
 }
 
@@ -529,7 +546,7 @@ void Limit::do_push(ColumnBatch& batch) {
   batch.for_each_active([&](std::uint32_t r) {
     if (sel.size() < remaining_) sel.push_back(r);
   });
-  batch.set_selection(std::move(sel));
+  batch.set_selection(sel);
   remaining_ = 0;
   emit(batch);
 }

@@ -153,7 +153,9 @@ class Operator {
   obs::Counter* c_build_ = nullptr;
 };
 
-/// Selection-vector filter on an int column; no data movement.
+/// Selection-vector filter on an int column; no data movement. Each batch
+/// swaps the filter's selection buffer with the batch's (set_selection),
+/// so the two buffers circulate and a warm filter allocates nothing.
 class FilterInt : public Operator {
  public:
   FilterInt(const SchemaPtr& in, std::string column,
@@ -179,9 +181,13 @@ class FilterInt : public Operator {
 
 /// Streaming-probe inner equi-join on int keys. The right table is the
 /// build side: open() hashes it once into an accel::HashTable64 whose value
-/// is a head index into forward-linked match chains (right rows of one key,
-/// in row order). Each probed left row emits its matches in canonical
-/// left-major order — byte-identical to the reference interpreter.
+/// is the key's first build row, and next_[r] is the key's next build row
+/// after r, so a walk from the value visits a key's rows in row order. The
+/// probe writes each match's left and right row into two fixed index lists
+/// of batch_capacity entries; a full list, and the end of each input
+/// batch, flushes them by gathering every output column through the lists.
+/// Each probed left row emits its matches in canonical left-major order —
+/// byte-identical to the reference interpreter.
 class HashJoin : public Operator {
  public:
   HashJoin(const SchemaPtr& left, const Table* right, std::string left_key,
@@ -191,10 +197,9 @@ class HashJoin : public Operator {
 
  protected:
   void do_push(ColumnBatch& batch) override;
-  void do_finish() override;
 
  private:
-  void flush_pairs(const ColumnBatch& batch);
+  void flush_matches(const ColumnBatch& batch);
 
   const Table* right_;
   std::string right_key_;
@@ -203,18 +208,15 @@ class HashJoin : public Operator {
   std::size_t batch_capacity_;
 
   accel::HashTable64 table_{16};
-  struct Chain {
-    std::uint32_t first = 0;
-    std::uint32_t last = 0;
-  };
-  std::vector<Chain> chains_;
-  std::vector<std::uint32_t> entry_row_;
-  std::vector<std::int32_t> entry_next_;
+  std::vector<std::uint32_t> next_;
 
   std::vector<const std::vector<std::int64_t>*> right_int_cols_;
   std::vector<const std::vector<std::string>*> right_str_cols_;
 
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs_;
+  // Pending matches: entries [0, matches_) of the two index lists.
+  std::vector<std::uint32_t> match_left_;
+  std::vector<std::uint32_t> match_right_;
+  std::size_t matches_ = 0;
   std::unique_ptr<ColumnBatch> out_batch_;
 
   // Scratch for the batched (vertical, SIMD-gather) probe: active row
@@ -246,8 +248,11 @@ class GroupAggregate : public Operator {
     std::int64_t extreme = 0;
     std::uint64_t n = 0;
   };
+  /// The accumulator slot of `code`, opening a new group on first sight.
   std::uint32_t slot_for(std::uint64_t code);
-  void accumulate(std::uint32_t slot, std::int64_t v);
+  /// Fold the staged probe rows' `values` into their groups under `A`.
+  template <Aggregate A>
+  void accumulate(const std::vector<std::int64_t>& values, std::size_t n);
 
   Aggregate agg_;
   std::size_t key_col_;
@@ -261,7 +266,8 @@ class GroupAggregate : public Operator {
   std::unordered_map<std::string, std::uint64_t> dict_codes_;
   std::vector<std::string> dictionary_;
 
-  // Scratch for the batched slot lookup on the int-key path.
+  // Scratch for the batched slot lookup: active row indices, their key
+  // codes, and find_batch results for one input batch.
   std::vector<std::uint32_t> probe_rows_;
   std::vector<std::uint64_t> probe_keys_;
   std::vector<std::uint64_t> probe_vals_;

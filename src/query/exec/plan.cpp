@@ -17,6 +17,14 @@ bool is_streaming(const char* name) noexcept {
   return n == "filter" || n == "hash_join" || n == "limit";
 }
 
+std::unique_ptr<Operator> make_filter(const SchemaPtr& in,
+                                      const FilterIntStage& s) {
+  if (s.is_range) {
+    return std::make_unique<FilterInt>(in, s.column, s.lo, s.hi, s.pred);
+  }
+  return std::make_unique<FilterInt>(in, s.column, s.pred);
+}
+
 }  // namespace
 
 Table Plan::run(const ExecOptions& opts, ExecStats* stats) const {
@@ -37,14 +45,19 @@ Table Plan::run(const ExecOptions& opts, ExecStats* stats) const {
         [&](const auto& s) {
           using S = std::decay_t<decltype(s)>;
           if constexpr (std::is_same_v<S, FilterIntStage>) {
-            if (s.is_range) {
-              ops.push_back(std::make_unique<FilterInt>(schema, s.column,
-                                                        s.lo, s.hi, s.pred));
-            } else {
-              ops.push_back(
-                  std::make_unique<FilterInt>(schema, s.column, s.pred));
-            }
+            ops.push_back(make_filter(schema, s));
           } else if constexpr (std::is_same_v<S, JoinStage>) {
+            // Filter pushdown: a filter that directly follows the join (or
+            // another filter moved ahead of it) and names a column of the
+            // join's left input runs before the join, which then probes
+            // only the rows it keeps. The join emits each left row's
+            // matches in left-row order, so the result is the same.
+            while (i + 1 < stages_.size()) {
+              const auto* f = std::get_if<FilterIntStage>(&stages_[i + 1]);
+              if (f == nullptr || !schema->has(f->column)) break;
+              ops.push_back(make_filter(schema, *f));
+              ++i;
+            }
             ops.push_back(std::make_unique<HashJoin>(
                 schema, &s.right, s.left_key, s.right_key, opts.batch_size));
           } else if constexpr (std::is_same_v<S, GroupByStage>) {

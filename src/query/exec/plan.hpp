@@ -7,8 +7,10 @@
 //   PlanBuilder(store, "lineitem").filter_int(...).build()
 // Plan::run() compiles the stages into the operator chain from
 // operators.hpp — every order_by becomes the one sort operator, TopK, which
-// absorbs a directly following limit as its k, and a Limit with a
-// fully-streaming prefix stops the scan early once it saturates — then
+// absorbs a directly following limit as its k; a filter that directly
+// follows a join (or another such filter) and names a column of the join's
+// left input runs before the join; and a Limit with a fully-streaming
+// prefix stops the scan early once it saturates — then
 // drives batches from the source through the chain into a CollectSink.
 // Plan::interpret() runs the same stages through the reference interpreter
 // (query::interpret), and every plan's run() is byte-identical to its

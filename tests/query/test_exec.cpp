@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <set>
 #include <stdexcept>
@@ -75,7 +77,8 @@ TEST(ColumnBatch, SelectionNarrowsActiveRows) {
   b.strings(0) = {"ada", "bob", "cyd"};
   b.set_row_count(3);
   EXPECT_EQ(b.active_count(), 3u);
-  b.set_selection({0, 2});
+  std::vector<std::uint32_t> sel{0, 2};
+  b.set_selection(sel);
   EXPECT_EQ(b.active_count(), 2u);
   EXPECT_EQ(b.row_count(), 3u);
   std::vector<std::uint32_t> seen;
@@ -215,6 +218,63 @@ TEST(Plan, ExecStatsRecordsChain) {
   EXPECT_EQ(stats.operators[1].rows_in, 3u);
   EXPECT_EQ(stats.operators[2].op, "collect");
   EXPECT_EQ(stats.operators[2].rows_in, 2u);
+}
+
+/// A filter that directly follows a join (or another such filter) and
+/// names a column of the join's left input runs before the join, which
+/// then probes only the rows the filter keeps. A filter on a right column,
+/// or on a right column renamed with "_r", stays after the join, and so
+/// does every filter behind it.
+TEST(Plan, LeftColumnFiltersRunBeforeJoin) {
+  Table teams;
+  teams.add_int_column("team", {1, 2, 1});
+  teams.add_int_column("age", {40, 50, 60});  // joins as "age_r"
+  teams.add_int_column("budget", {10, 20, 30});
+  struct Case {
+    const char* name;
+    std::function<void(PlanBuilder&)> filters;
+    std::vector<std::string> chain;
+    std::uint64_t join_rows_in;
+  };
+  const auto team_not_2 = [](std::int64_t t) { return t != 2; };
+  const std::vector<Case> cases{
+      {"left", [](PlanBuilder& b) { b.filter_between("age", 30, 99); },
+       {"scan", "filter", "hash_join", "collect"}, 2},
+      {"right",
+       [](PlanBuilder& b) {
+         b.filter_int("budget", [](std::int64_t v) { return v >= 20; });
+       },
+       {"scan", "hash_join", "filter", "collect"}, 4},
+      {"renamed right", [](PlanBuilder& b) { b.filter_between("age_r", 50, 99); },
+       {"scan", "hash_join", "filter", "collect"}, 4},
+      {"two left",
+       [&](PlanBuilder& b) {
+         b.filter_between("age", 25, 99).filter_int("team", team_not_2);
+       },
+       {"scan", "filter", "filter", "hash_join", "collect"}, 3},
+      {"right then left",
+       [](PlanBuilder& b) {
+         b.filter_between("budget", 20, 99).filter_between("age", 30, 99);
+       },
+       {"scan", "hash_join", "filter", "filter", "collect"}, 4},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    PlanBuilder b{people()};
+    b.join(teams, "team", "team");
+    c.filters(b);
+    const Plan plan = b.build();
+    EXPECT_EQ(chain_of(plan), c.chain);
+    ExecStats stats;
+    const Table out = plan.run({}, &stats);
+    const auto join = std::find_if(
+        stats.operators.begin(), stats.operators.end(),
+        [](const ExecStats::OpStat& op) { return op.op == "hash_join"; });
+    ASSERT_NE(join, stats.operators.end());
+    EXPECT_EQ(join->rows_in, c.join_rows_in);
+    EXPECT_GT(out.row_count(), 0u);
+    expect_tables_equal(out, plan.interpret());
+  }
 }
 
 TEST(Plan, PublishesRegistryCountersWhenEnabled) {

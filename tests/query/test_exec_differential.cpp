@@ -70,7 +70,9 @@ Table random_right(sim::Rng& rng, std::size_t rows) {
 /// Append 1–4 random stages to `b`. Half the int filters are ranges on
 /// `value` or `wide`, with an INT64_MIN or INT64_MAX bound one time in
 /// ten: a range filter takes the SIMD selection path on a dense batch and
-/// the predicate fallback behind another filter.
+/// the predicate fallback behind another filter. After a join, one filter
+/// in three names the right table's `weight`, which must not run ahead of
+/// the join.
 void random_stages(sim::Rng& rng, PlanBuilder& b) {
   const std::size_t n_stages = 1 + rng.uniform_index(4);
   bool aggregated = false;
@@ -78,6 +80,11 @@ void random_stages(sim::Rng& rng, PlanBuilder& b) {
   for (std::size_t s = 0; s < n_stages; ++s) {
     switch (aggregated ? rng.uniform_index(2) + 3 : rng.uniform_index(5)) {
       case 0: {
+        if (joined && rng.chance(1.0 / 3)) {
+          const auto lo = static_cast<std::int64_t>(rng.uniform_index(50));
+          b.filter_between("weight", lo, lo + 25);
+          break;
+        }
         if (rng.chance(0.5)) {
           const char* column = rng.chance(0.5) ? "value" : "wide";
           std::int64_t lo =

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "storage/device.hpp"
 #include "storage/manifest.hpp"
@@ -10,11 +12,28 @@
 namespace rb::storage {
 namespace {
 
+/// Bitwise CRC32C (reflected polynomial 0x82F63B78), one bit at a time:
+/// the reference the table-driven crc32c must match.
+std::uint32_t crc32c_bitwise(std::string_view data, std::uint32_t seed = 0) {
+  std::uint32_t crc = ~seed;
+  for (const char c : data) {
+    crc ^= static_cast<unsigned char>(c);
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc >> 1) ^ ((crc & 1u) ? 0x82F63B78u : 0u);
+    }
+  }
+  return ~crc;
+}
+
 TEST(Crc32c, KnownVectors) {
   // RFC 3720 / published CRC32C test vectors.
   EXPECT_EQ(crc32c(""), 0x00000000u);
   EXPECT_EQ(crc32c("123456789"), 0xE3069283u);
   EXPECT_EQ(crc32c(std::string(32, '\0')), 0x8A9136AAu);
+  EXPECT_EQ(crc32c(std::string(32, '\xFF')), 0x62A8AB43u);
+  std::string ascending;
+  for (int i = 0; i < 32; ++i) ascending.push_back(static_cast<char>(i));
+  EXPECT_EQ(crc32c(ascending), 0x46DD794Eu);
 }
 
 TEST(Crc32c, SeedChainsIncrementally) {
@@ -22,6 +41,29 @@ TEST(Crc32c, SeedChainsIncrementally) {
   const auto whole = crc32c(data);
   const auto chained = crc32c(data.substr(7), crc32c(data.substr(0, 7)));
   EXPECT_EQ(whole, chained);
+
+  // Every length 0-64 at start offsets 0-7, so the eight-byte loop and its
+  // tail both run at every alignment.
+  std::string buffer;
+  for (int i = 0; i < 72; ++i) {
+    buffer.push_back(static_cast<char>(i * 131 + 7));
+  }
+  const std::string_view view{buffer};
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      const auto piece = view.substr(offset, len);
+      EXPECT_EQ(crc32c(piece), crc32c_bitwise(piece))
+          << "offset " << offset << " length " << len;
+    }
+  }
+  // Every split point of one 64-byte buffer, chained through the seed.
+  const auto all = view.substr(0, 64);
+  const std::uint32_t expected = crc32c_bitwise(all);
+  for (std::size_t split = 0; split <= all.size(); ++split) {
+    EXPECT_EQ(crc32c(all.substr(split), crc32c(all.substr(0, split))),
+              expected)
+        << "split " << split;
+  }
 }
 
 TEST(ByteReader, ReadsAndBoundsChecks) {
