@@ -1,8 +1,8 @@
 #include "serve/frontdoor.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <numbers>
 #include <stdexcept>
 #include <utility>
@@ -75,21 +75,36 @@ FrontDoor::FrontDoor(sim::Simulator& sim, const net::Topology& topo,
     host_to_replica_.emplace(host, id);
     ring_.add_node(id);
   }
+  // Membership is final from here on (set_up changes who can be reached,
+  // not who owns a key), so each key is placed once.
+  owners_per_key_ = std::min(params_.replication, replicas_.size());
+  key_owners_.reserve(params_.key_universe * owners_per_key_);
+  Placement placement;
+  std::string name;
+  for (std::size_t k = 0; k < params_.key_universe; ++k) {
+    write_key_name(k, name);
+    ring_.replicas(name, owners_per_key_, placement);
+    key_owners_.insert(key_owners_.end(), placement.replicas.begin(),
+                       placement.replicas.end());
+  }
 }
 
-std::string FrontDoor::key_string(std::size_t index) const {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "k%08zu", index);
-  return buf;
+void write_key_name(std::size_t index, std::string& out) {
+  char digits[20];  // SIZE_MAX has 20 decimal digits
+  const char* const end =
+      std::to_chars(digits, digits + sizeof digits, index).ptr;
+  const auto len = static_cast<std::size_t>(end - digits);
+  out.assign(1, 'k');
+  if (len < 8) out.append(8 - len, '0');
+  out.append(digits, len);
 }
 
 void FrontDoor::preload() {
   const std::string value(params_.value_bytes, 'v');
-  const std::size_t r = std::min(params_.replication, replicas_.size());
+  std::string key;
   for (std::size_t k = 0; k < params_.key_universe; ++k) {
-    const std::string key = key_string(k);
-    ring_.replicas(key, r, owners_);
-    for (const ReplicaId id : owners_.replicas) {
+    write_key_name(k, key);
+    for (const ReplicaId id : owners(k)) {
       replicas_[id]->store().put(key, value);
     }
   }
@@ -120,7 +135,8 @@ void FrontDoor::schedule_next_arrival() {
   });
 }
 
-void FrontDoor::make_request(Request& req) {
+void FrontDoor::make_request(Pending& p) {
+  Request& req = p.req;
   // Start from a fresh Request, but hand the strings' buffers back to it.
   std::string key = std::move(req.key);
   std::string value = std::move(req.value);
@@ -133,7 +149,8 @@ void FrontDoor::make_request(Request& req) {
   if (params_.resilience.request_timeout > 0) {
     req.deadline = req.issued + params_.resilience.request_timeout;
   }
-  req.key = key_string(key_dist_(rng_));
+  p.key = key_dist_(rng_);
+  write_key_name(p.key, req.key);
   if (!rng_.chance(params_.read_fraction)) {
     req.op = OpKind::kPut;
     req.value.assign(params_.value_bytes, 'w');
@@ -148,20 +165,18 @@ void FrontDoor::make_request(Request& req) {
 void FrontDoor::issue() {
   const std::uint64_t id = next_request_id_;
   Pending& p = pending_.add(id);
-  make_request(p.req);
+  make_request(p);
   slo_.on_issued(p.req);
   budget_.on_issued();
   start_wave(id);
 }
 
 ReplicaId FrontDoor::pick_target(const Pending& p, bool hedge) {
-  const std::size_t r = std::min(params_.replication, replicas_.size());
-  ring_.replicas(p.req.key, r, owners_);
   // Candidates: owners that are ring-live, whose host is up, and that are
   // serving. (Ownership never changes with up/down — only contactability.)
   std::vector<ReplicaId>& live = live_owners_;
   live.clear();
-  for (const ReplicaId id : owners_.replicas) {
+  for (const ReplicaId id : owners(p.key)) {
     if (ring_.up(id) && topo_->node_up(replicas_[id]->host()) &&
         replicas_[id]->serving()) {
       live.push_back(id);
@@ -209,18 +224,19 @@ void FrontDoor::start_wave(std::uint64_t id) {
   dispatch(id, target, /*hedge=*/false);
   // dispatch() may have resolved the request (unreachable target, retry
   // gates all said no) — re-look-up before arming the wave's timers.
-  const Pending* live = pending_.find(id);
+  Pending* const live = pending_.find(id);
   if (live == nullptr || live->attempts.empty()) return;
   const int wave = live->req.attempts;
   if (params_.resilience.attempt_timeout > 0) {
-    sim_->schedule_in(params_.resilience.attempt_timeout,
-                      [this, id, wave] { on_attempt_timeout(id, wave); });
+    live->timeout_timer =
+        sim_->schedule_in(params_.resilience.attempt_timeout,
+                          [this, id, wave] { on_attempt_timeout(id, wave); });
   }
-  const std::size_t r = std::min(params_.replication, replicas_.size());
   if (params_.resilience.hedge.enabled && live->req.op == OpKind::kGet &&
-      r > 1) {
-    sim_->schedule_in(std::max<sim::SimTime>(hedge_delay_.delay(), 1),
-                      [this, id, wave] { maybe_hedge(id, wave); });
+      owners_per_key_ > 1) {
+    live->hedge_timer =
+        sim_->schedule_in(std::max<sim::SimTime>(hedge_delay_.delay(), 1),
+                          [this, id, wave] { maybe_hedge(id, wave); });
   }
 }
 
@@ -318,9 +334,7 @@ void FrontDoor::replica_completed(const Request& req, ReplicaOutcome outcome,
   if (req.op == OpKind::kPut) {
     // Asynchronous replication: surviving sibling owners apply the write at
     // service-finish time; owners currently down simply miss it.
-    const std::size_t r = std::min(params_.replication, replicas_.size());
-    ring_.replicas(req.key, r, owners_);
-    for (const ReplicaId sibling : owners_.replicas) {
+    for (const ReplicaId sibling : owners(p->key)) {
       if (sibling == target) continue;
       if (ring_.up(sibling) && topo_->node_up(replicas_[sibling]->host())) {
         replicas_[sibling]->store().put(req.key, req.value);
@@ -472,6 +486,8 @@ sim::SimTime FrontDoor::backoff_for(int attempts) {
 void FrontDoor::retry_or_fail(std::uint64_t id) {
   Pending& p = pending_.at(id);
   ++p.req.attempts;
+  // The wave is over: its timers would now find a stale wave and do nothing.
+  p.cancel_timers();
   if (p.req.attempts >= params_.max_attempts) {
     resolve_failed(id);
     return;
@@ -616,6 +632,7 @@ FrontDoor::Pending& FrontDoor::RequestTable::at(std::uint64_t id) {
 
 void FrontDoor::RequestTable::erase(std::uint64_t id) noexcept {
   if (id < oldest_ || id >= end_ || entry(id) == kNone) return;
+  pool_[entry(id)].cancel_timers();
   free_.push_back(entry(id));
   entry(id) = kNone;
   // Slide the window's start past every resolved id.

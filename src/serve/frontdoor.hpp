@@ -52,11 +52,21 @@
 // capture ids, not Request copies: an attempt carries (id, wave, target,
 // attempt span), and the request is copied from the table when the attempt
 // reaches its replica; a response carries (id, wave, span, target, sent).
-// Owner lookups, the live-owner list and route lookups fill reused buffers.
+// Membership is fixed after construction, so every key's owners are
+// computed once into a flat table indexed by the key's index in the
+// universe; the live-owner list and route lookups fill reused buffers.
+//
+// A wave's attempt-timeout and hedge timers are no-ops once the wave ends
+// (the request resolves, or retry_or_fail bumps its attempt count), so the
+// front door keeps their EventHandles in the request's record and cancels
+// them then. Those handles point into the simulator: like
+// net::FlowSimulator, a FrontDoor must be destroyed before its simulator.
 
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "faults/plan.hpp"
@@ -115,7 +125,8 @@ class FrontDoor {
   FrontDoor& operator=(const FrontDoor&) = delete;
 
   /// Write every key of the universe to all of its owners' stores (directly,
-  /// outside simulated time) so gets hit from the first request.
+  /// outside simulated time) so gets hit from the first request. Key i is
+  /// named as write_key_name(i) writes it.
   void preload();
 
   /// Schedule the arrival process; call before Simulator::run(). All
@@ -155,10 +166,19 @@ class FrontDoor {
   /// and are discarded.
   struct Pending {
     Request req;
+    std::size_t key = 0;            // req.key's index in the key universe
     std::vector<Attempt> attempts;  // current wave only
     bool hedged = false;            // this wave already hedged
     bool rejected = false;          // an attempt of this wave was shed
     bool expired = false;           // an attempt expired in a replica queue
+    /// The current wave's timers; cancelled when the wave ends.
+    sim::EventHandle timeout_timer;
+    sim::EventHandle hedge_timer;
+
+    void cancel_timers() noexcept {
+      timeout_timer.cancel();
+      hedge_timer.cancel();
+    }
   };
 
   /// In-flight requests by id. Records sit in a pool and are reused; a
@@ -177,6 +197,7 @@ class FrontDoor {
     Pending* find(std::uint64_t id) noexcept;
     /// The live record of `id`; throws std::logic_error if there is none.
     Pending& at(std::uint64_t id);
+    /// Drop the record of `id`, cancelling its timers.
     void erase(std::uint64_t id) noexcept;
 
    private:
@@ -193,8 +214,9 @@ class FrontDoor {
 
   void schedule_next_arrival();
   void issue();
-  /// Overwrite `req` with the next request of the client population.
-  void make_request(Request& req);
+  /// Overwrite `p`'s request and key index with the next request of the
+  /// client population.
+  void make_request(Pending& p);
   /// Launch the current retry wave of `id`: one attempt, plus hedge/timeout
   /// timers as configured.
   void start_wave(std::uint64_t id);
@@ -203,6 +225,10 @@ class FrontDoor {
   /// Preferred-order live owners for the wave, breaker-filtered. Returns
   /// kInvalidReplica when nothing is sendable.
   ReplicaId pick_target(const Pending& p, bool hedge);
+  /// The owners of key `key` of the universe, primary first.
+  std::span<const ReplicaId> owners(std::size_t key) const noexcept {
+    return {key_owners_.data() + key * owners_per_key_, owners_per_key_};
+  }
   /// Attempt `wave` of `id` reached `target`; `span` is its attempt span.
   void deliver(std::uint64_t id, int wave, ReplicaId target,
                std::uint64_t span);
@@ -228,7 +254,6 @@ class FrontDoor {
   /// propagation and serialization terms.
   sim::SimTime path_delay(net::NodeId from, net::NodeId to,
                           sim::Bytes payload, std::uint64_t flow_hash);
-  std::string key_string(std::size_t index) const;
 
   sim::Simulator* sim_;
   const net::Topology* topo_;
@@ -237,6 +262,10 @@ class FrontDoor {
   net::NodeId gateway_ = net::kInvalidNode;
   HashRing ring_;
   std::vector<std::unique_ptr<ReplicaServer>> replicas_;
+  /// min(replication, replica count) owners per key, for every key of the
+  /// universe: key k's owners sit at [k * owners_per_key_, +owners_per_key_).
+  std::size_t owners_per_key_ = 0;
+  std::vector<ReplicaId> key_owners_;
   std::map<net::NodeId, ReplicaId> host_to_replica_;
   SloAccountant slo_;
   sim::Rng rng_;
@@ -248,11 +277,15 @@ class FrontDoor {
   RequestTable pending_;
   std::uint64_t next_request_id_ = 1;
   bool started_ = false;
-  // Reused buffers: the key's owners, the live ones among them, and a route.
-  Placement owners_;
+  // Reused buffers: a key's live owners and a route.
   std::vector<ReplicaId> live_owners_;
   std::vector<net::LinkId> route_;
 };
+
+/// Overwrite `out` with the name of key `index` of the universe: "k" and
+/// the index in decimal, zero-padded to at least 8 digits (what
+/// snprintf("k%08zu") writes).
+void write_key_name(std::size_t index, std::string& out);
 
 /// Ideal aggregate service capacity (requests/s) of `replica_count` replicas
 /// at full batching — where benches center their offered-load sweeps.

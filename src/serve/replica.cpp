@@ -174,10 +174,11 @@ void ReplicaServer::execute(const Request& req,
     store_.put(req.key, req.value);
   } else {
     // The result value is not propagated (clients in this simulation care
-    // about latency, not payloads), but the lookup is real: bloom filters,
-    // sstable probes and their counters all move — and with an active trace
-    // the read emits a storage span under the service span.
-    static_cast<void>(store_.get(req.key, service_ctx, batch_started_));
+    // about latency, not payloads), so the replica reads a view of it, not
+    // a copy. The lookup is real: bloom filters, sstable probes and their
+    // counters all move — and with an active trace the read emits a storage
+    // span under the service span.
+    static_cast<void>(store_.find(req.key, service_ctx, batch_started_));
   }
 }
 

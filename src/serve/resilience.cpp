@@ -190,15 +190,15 @@ sim::SimTime HedgeDelayTracker::delay() const {
   // window is cheap, but not per-attempt cheap.
   const std::size_t stride = std::max<std::size_t>(ring_.size() / 8, 1);
   if (cached_at_ == 0 || count_ - cached_at_ >= stride) {
-    std::vector<double> scratch{ring_};
+    scratch_.assign(ring_.begin(), ring_.end());
     const double q = std::clamp(params_.quantile, 0.0, 100.0) / 100.0;
     const auto rank = static_cast<std::size_t>(
-        std::min<double>(std::floor(q * static_cast<double>(scratch.size())),
-                         static_cast<double>(scratch.size() - 1)));
-    std::nth_element(scratch.begin(),
-                     scratch.begin() + static_cast<std::ptrdiff_t>(rank),
-                     scratch.end());
-    const double at_rank = scratch[rank];
+        std::min<double>(std::floor(q * static_cast<double>(scratch_.size())),
+                         static_cast<double>(scratch_.size() - 1)));
+    std::nth_element(scratch_.begin(),
+                     scratch_.begin() + static_cast<std::ptrdiff_t>(rank),
+                     scratch_.end());
+    const double at_rank = scratch_[rank];
     cached_delay_ = std::max(params_.min_delay, sim::from_seconds(at_rank));
     cached_at_ = count_;
   }

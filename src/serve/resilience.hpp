@@ -168,6 +168,9 @@ class HedgeDelayTracker {
   std::size_t count_ = 0;
   mutable sim::SimTime cached_delay_ = 0;
   mutable std::size_t cached_at_ = 0;  // count_ value the cache was built at
+  /// The window copy the quantile is selected in, kept so a recompute
+  /// allocates nothing.
+  mutable std::vector<double> scratch_;
 };
 
 /// --- Bundle + accounting ------------------------------------------------

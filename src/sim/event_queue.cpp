@@ -30,6 +30,7 @@ bool EventQueue::cancel(std::uint32_t slot, std::uint32_t generation) noexcept {
   // queue is consistent whatever their destructors do.
   const EventFn dropped = std::move(slots_[slot].fn);
   free_slot(slot);
+  if (++dead_ > kCompactFloor && dead_ > heap_.size() / 2) compact();
   return true;
 }
 
@@ -52,12 +53,8 @@ void EventQueue::push(const Entry& e) {
   heap_[i] = e;
 }
 
-void EventQueue::pop_top() const noexcept {
-  const Entry last = heap_.back();
-  heap_.pop_back();
+void EventQueue::sift_down(std::size_t i, const Entry e) const noexcept {
   const std::size_t n = heap_.size();
-  if (n == 0) return;
-  std::size_t i = 0;
   for (;;) {
     const std::size_t first = 4 * i + 1;
     if (first >= n) break;
@@ -66,18 +63,38 @@ void EventQueue::pop_top() const noexcept {
     for (std::size_t c = first + 1; c < end; ++c) {
       if (earlier(heap_[c], heap_[best])) best = c;
     }
-    if (!earlier(heap_[best], last)) break;
+    if (!earlier(heap_[best], e)) break;
     heap_[i] = heap_[best];
     i = best;
   }
-  heap_[i] = last;
+  heap_[i] = e;
+}
+
+void EventQueue::pop_top() const noexcept {
+  const Entry last = heap_.back();
+  heap_.pop_back();
+  if (!heap_.empty()) sift_down(0, last);
 }
 
 void EventQueue::drop_dead() const noexcept {
   while (!heap_.empty() &&
          !live(heap_.front().slot, heap_.front().generation)) {
     pop_top();
+    --dead_;
   }
+}
+
+void EventQueue::compact() noexcept {
+  // (time, seq) is a total order, so any valid heap of the live entries
+  // pops them in the same sequence.
+  std::size_t n = 0;
+  for (const Entry& e : heap_) {
+    if (live(e.slot, e.generation)) heap_[n++] = e;
+  }
+  heap_.erase(heap_.begin() + static_cast<std::ptrdiff_t>(n), heap_.end());
+  dead_ = 0;
+  if (n < 2) return;
+  for (std::size_t i = (n - 2) / 4 + 1; i-- > 0;) sift_down(i, heap_[i]);
 }
 
 bool EventQueue::empty() const noexcept {

@@ -14,7 +14,11 @@
 //   * The heap is a 4-ary min-heap of plain (time, seq, slot, generation)
 //     entries. Cancellation is lazy: a cancelled event frees its slot (and
 //     destroys its callable) at once, but its heap entry stays until it
-//     reaches the top, where the generation mismatch marks it dead.
+//     reaches the top, where the generation mismatch marks it dead. The
+//     queue counts those dead entries; once they exceed both kCompactFloor
+//     and half the heap, a cancel removes them all and re-heapifies in
+//     place, so the heap stays within twice the live events (plus the
+//     floor) and cancel() stays amortized O(1).
 //   * EventFn keeps captures of up to 64 bytes inline; only a larger,
 //     over-aligned or throwing-move capture costs one heap allocation.
 
@@ -167,6 +171,9 @@ class EventHandle {
 
 class EventQueue {
  public:
+  /// Dead (cancelled) heap entries below which the queue never compacts.
+  static constexpr std::size_t kCompactFloor = 64;
+
   EventQueue() = default;
   // Handles point at the queue, so it stays where it was built.
   EventQueue(const EventQueue&) = delete;
@@ -186,8 +193,9 @@ class EventQueue {
   /// slot is already free, so fn may schedule (and reuse it) freely.
   std::pair<SimTime, EventFn> pop();
 
-  /// Number of scheduled events not yet fired. Cancelled events may still
-  /// be counted until they are lazily swept from the head of the heap.
+  /// Number of scheduled events not yet fired, plus cancelled events whose
+  /// heap entries are still there: each is counted until it reaches the top
+  /// or a compaction removes it.
   std::size_t size() const noexcept { return heap_.size(); }
 
  private:
@@ -215,14 +223,19 @@ class EventQueue {
   bool cancel(std::uint32_t slot, std::uint32_t generation) noexcept;
   void free_slot(std::uint32_t slot) noexcept;
   void push(const Entry& e);
+  /// Place `e` at hole `i` and sift it down.
+  void sift_down(std::size_t i, Entry e) const noexcept;
   void pop_top() const noexcept;
   void drop_dead() const noexcept;
+  /// Remove every dead entry and rebuild the heap in place.
+  void compact() noexcept;
 
   static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
 
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNoSlot;
   mutable std::vector<Entry> heap_;  ///< 4-ary min-heap on (when, seq)
+  mutable std::size_t dead_ = 0;     ///< cancelled entries still in heap_
   std::uint64_t next_seq_ = 0;
   SimTime last_popped_ = 0;
 };

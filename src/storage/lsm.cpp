@@ -260,13 +260,13 @@ void LsmStore::for_each_run_newest_first(Fn fn) const {
   }
 }
 
-std::optional<std::string> LsmStore::get(std::string_view key,
-                                         const obs::TraceContext& ctx,
-                                         std::int64_t ts_ps) const {
+std::optional<std::string_view> LsmStore::find(
+    std::string_view key, const obs::TraceContext& ctx,
+    std::int64_t ts_ps) const {
   auto& tracer = obs::RequestTracer::global();
-  if (!tracer.enabled() || !ctx.active()) return get(key);
+  if (!tracer.enabled() || !ctx.active()) return find(key);
   const std::uint64_t probes_before = stats_.sstable_probes;
-  std::optional<std::string> result = get(key);
+  const std::optional<std::string_view> result = find(key);
   tracer.add_span(ctx, obs::Segment::kStorage, "lsm.get", ts_ps, ts_ps,
                   static_cast<std::int64_t>(stats_.sstable_probes -
                                             probes_before));
@@ -274,13 +274,19 @@ std::optional<std::string> LsmStore::get(std::string_view key,
 }
 
 std::optional<std::string> LsmStore::get(std::string_view key) const {
+  const std::optional<std::string_view> value = find(key);
+  if (!value) return std::nullopt;
+  return std::string{*value};
+}
+
+std::optional<std::string_view> LsmStore::find(std::string_view key) const {
   ++stats_.gets;
   const auto mem = memtable_.find(key);
   if (mem != memtable_.end()) {
     if (mem->second.tombstone) return std::nullopt;
     return mem->second.value;
   }
-  std::optional<std::string> result;
+  std::optional<std::string_view> result;
   for_each_run_newest_first([&](const SsTable& run) {
     bool bloom_skipped = false;
     const auto hit = run.get(key, &bloom_skipped);

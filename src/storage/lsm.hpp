@@ -72,10 +72,10 @@ class SsTable {
   /// `entries` must be sorted by key and deduplicated (newest wins upstream).
   explicit SsTable(std::vector<Entry> entries);
 
-  /// Lookup; outer optional = key present in this run, inner = live value
-  /// (nullopt value field means tombstone).
+  /// Lookup result: the key is present in this run, as a live value (a
+  /// view into the run) or a tombstone.
   struct Hit {
-    std::string value;
+    std::string_view value;
     bool tombstone = false;
   };
   /// When the bloom filter rules the key out, `*bloom_skipped` (if given)
@@ -180,16 +180,23 @@ class LsmStore {
 
   void put(std::string key, std::string value);
   void erase(std::string key);
-  std::optional<std::string> get(std::string_view key) const;
 
-  /// get() plus a causal storage span: when the RequestTracer is on and
+  /// The store's one point lookup: the live value of `key`, or nullopt when
+  /// it is absent or deleted. The view points into the store and is valid
+  /// until its next write (put, erase, flush or compaction).
+  std::optional<std::string_view> find(std::string_view key) const;
+
+  /// find() plus a causal storage span: when the RequestTracer is on and
   /// `ctx` is active, emits a kStorage span [ts_ps, ts_ps] under `ctx`
   /// annotated with the sstable probes this lookup cost (the read-
   /// amplification evidence a slow-read exemplar needs). The store has no
   /// clock of its own, so the caller supplies the simulated timestamp.
-  std::optional<std::string> get(std::string_view key,
-                                 const obs::TraceContext& ctx,
-                                 std::int64_t ts_ps) const;
+  std::optional<std::string_view> find(std::string_view key,
+                                       const obs::TraceContext& ctx,
+                                       std::int64_t ts_ps) const;
+
+  /// find() copied out, for callers that outlive the view.
+  std::optional<std::string> get(std::string_view key) const;
 
   class Cursor;
 

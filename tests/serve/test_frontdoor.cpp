@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstdio>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "faults/injector.hpp"
@@ -15,6 +19,7 @@
 #include "net/topology.hpp"
 #include "node/device.hpp"
 #include "obs/metrics.hpp"
+#include "serve/ring.hpp"
 #include "sim/simulator.hpp"
 
 namespace rb::serve {
@@ -194,6 +199,54 @@ TEST(FrontDoor, ExportsSloCountersThroughObs) {
   EXPECT_EQ(registry.counter("serve.requests_rejected").value(), r.rejected);
   EXPECT_EQ(registry.counter("serve.requests_failed").value(), r.failed);
   registry.clear();
+}
+
+/// What snprintf("k%08zu") writes for `index`.
+std::string printf_key_name(std::size_t index) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "k%08zu", index);
+  return buf;
+}
+
+TEST(FrontDoor, KeyNamesMatchPrintf) {
+  std::string name = "a longer name whose buffer is reused";
+  for (const std::size_t index :
+       {std::size_t{0}, std::size_t{7}, std::size_t{99'999'999},
+        std::size_t{100'000'000}, SIZE_MAX}) {
+    write_key_name(index, name);
+    EXPECT_EQ(name, printf_key_name(index)) << index;
+  }
+}
+
+/// preload() writes each key, under its printf name, to exactly the owners
+/// a ring of the same replica ids gives it.
+TEST(FrontDoor, PreloadPlacesKeysOnRingOwners) {
+  FrontDoorParams params = small_params();  // 2,000 keys, R = 3
+  params.replicas = 8;  // more replicas than owners, so placement matters
+  net::Topology topo = net::make_fat_tree(4);
+  sim::Simulator sim;
+  net::Router router{topo};
+  FrontDoor door{sim, topo, router, params};
+  door.preload();
+  ASSERT_EQ(door.replica_count(), 8u);
+
+  HashRing ring;
+  for (std::size_t i = 0; i < door.replica_count(); ++i) {
+    ring.add_node(static_cast<ReplicaId>(i));
+  }
+  Placement owners;
+  for (std::size_t k = 0; k < params.key_universe; ++k) {
+    const std::string name = printf_key_name(k);
+    ring.replicas(name, params.replication, owners);
+    ASSERT_EQ(owners.replicas.size(), params.replication);
+    for (std::size_t i = 0; i < door.replica_count(); ++i) {
+      const bool owner =
+          std::find(owners.replicas.begin(), owners.replicas.end(),
+                    static_cast<ReplicaId>(i)) != owners.replicas.end();
+      ASSERT_EQ(door.replica(i).store().find(name).has_value(), owner)
+          << name << " on replica " << i;
+    }
+  }
 }
 
 TEST(FrontDoor, RejectsDegenerateParameters) {

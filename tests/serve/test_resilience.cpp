@@ -7,7 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <cstdio>
 #include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "faults/injector.hpp"
@@ -17,7 +22,9 @@
 #include "node/device.hpp"
 #include "serve/frontdoor.hpp"
 #include "serve/replica.hpp"
+#include "sim/hash.hpp"
 #include "sim/simulator.hpp"
+#include "sim/stats.hpp"
 
 namespace rb::serve {
 namespace {
@@ -295,7 +302,22 @@ struct ChaosResult {
   std::uint64_t retries = 0;
   bool ledger_ok = false;
   ResilienceStats stats;
+  std::uint64_t latency_hash = 0;
 };
+
+/// A hash of the whole latency distribution: the bits of the percentile at
+/// every sample's rank, so moving any one sample changes it.
+std::uint64_t latency_hash(const sim::PercentileTracker& latency) {
+  const std::size_t n = latency.count();
+  std::uint64_t h = sim::mix64(n + sim::kSplitMixGamma);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double p = n == 1 ? 0.0
+                            : 100.0 * static_cast<double>(i) /
+                                  static_cast<double>(n - 1);
+    h = sim::mix64(h ^ std::bit_cast<std::uint64_t>(latency.percentile(p)));
+  }
+  return h;
+}
 
 /// Everything on at once: replica churn, a gray host, hedging, timeouts.
 ChaosResult run_chaos(std::uint64_t seed) {
@@ -331,6 +353,7 @@ ChaosResult run_chaos(std::uint64_t seed) {
   out.retries = door.slo().retries();
   out.ledger_ok = door.slo().ledger_ok();
   out.stats = door.resilience_stats();
+  out.latency_hash = latency_hash(door.slo().latency_seconds());
   return out;
 }
 
@@ -353,6 +376,66 @@ TEST(ResilientFrontDoor, ChaosRunExercisesTheControlPlane) {
   EXPECT_GT(r.stats.attempt_timeouts + r.retries, 0u);
   EXPECT_GE(r.stats.hedges_won, 0u);
   EXPECT_LE(r.stats.hedges_won, r.stats.hedges_issued);
+}
+
+/// Everything run_chaos reports, in one comparable record.
+struct Ledger {
+  std::uint64_t issued, completed, rejected, failed, retries;
+  std::uint64_t retries_budgeted, deadline_drops, deadline_queue_drops,
+      attempt_timeouts, hedges_issued, hedges_won, breaker_opens,
+      breaker_denials, wasted_responses;
+  std::uint64_t latency_hash;
+
+  bool operator==(const Ledger&) const = default;
+
+  static Ledger of(const ChaosResult& r) {
+    const ResilienceStats& s = r.stats;
+    return {r.issued,           r.completed,       r.rejected,
+            r.failed,           r.retries,         s.retries_budgeted,
+            s.deadline_drops,   s.deadline_queue_drops,
+            s.attempt_timeouts, s.hedges_issued,   s.hedges_won,
+            s.breaker_opens,    s.breaker_denials, s.wasted_responses,
+            r.latency_hash};
+  }
+
+  /// The record as a row of the golden table below.
+  std::string row() const {
+    std::string out = "{";
+    for (const std::uint64_t v :
+         {issued, completed, rejected, failed, retries, retries_budgeted,
+          deadline_drops, deadline_queue_drops, attempt_timeouts,
+          hedges_issued, hedges_won, breaker_opens, breaker_denials,
+          wasted_responses}) {
+      out += std::to_string(v) + ", ";
+    }
+    char hash[32];
+    std::snprintf(hash, sizeof hash, "0x%016llxULL}",
+                  static_cast<unsigned long long>(latency_hash));
+    return out + hash;
+  }
+};
+
+/// The ledger of the chaos run, pinned per seed. This run hedges, times
+/// out, retries, trips breakers and sheds load, so it drives every path
+/// that arms, fires or cancels a request's timers. A change to the request
+/// path that keeps its behaviour keeps every count and every latency
+/// sample; a change meant to alter behaviour re-records the table from the
+/// rows this test prints and says why.
+TEST(ResilientFrontDoor, GoldenLedger) {
+  const std::pair<std::uint64_t, Ledger> golden[] = {
+      {0xBEEF, {953, 855, 97, 1, 8, 0, 1, 1, 7, 137, 94, 0, 0, 138,
+                0x8e77193166ff339bULL}},
+      {0xF00D, {947, 841, 106, 0, 6, 0, 0, 0, 5, 121, 82, 0, 0, 114,
+                0x2969cc6047674068ULL}},
+      {0x5EED, {1043, 904, 138, 1, 14, 0, 1, 1, 9, 128, 77, 0, 0, 118,
+                0xbabbc6d877c45c11ULL}},
+      {17, {985, 886, 99, 0, 12, 0, 0, 0, 6, 141, 99, 1, 2, 139,
+            0x28deb5c897e25244ULL}},
+  };
+  for (const auto& [seed, want] : golden) {
+    const Ledger got = Ledger::of(run_chaos(seed));
+    EXPECT_TRUE(got == want) << "seed " << seed << " ran " << got.row();
+  }
 }
 
 TEST(ResilientFrontDoor, DeterministicForIdenticalSeeds) {

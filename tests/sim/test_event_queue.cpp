@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <functional>
 #include <map>
@@ -106,11 +107,64 @@ TEST(EventQueue, SizeTracksLiveEvents) {
   EXPECT_EQ(q.size(), 2u);
   a.cancel();
   // Lazy: a's heap entry stays until it reaches the top and is swept, so it
-  // is still counted.
+  // is still counted. Compaction starts only once the cancelled entries
+  // pass EventQueue::kCompactFloor, far above this one.
   EXPECT_EQ(q.size(), 2u);
   q.pop().second();  // sweeps the cancelled a, then pops and runs b
   EXPECT_TRUE(q.empty());
   (void)b;
+}
+
+/// Cancelling most of a large queue compacts its heap: size() stays within
+/// twice the live events plus the floor after every cancel, the survivors
+/// fire in (time, seq) order, and every cancelled handle stays inert.
+TEST(EventQueue, BulkCancelKeepsHeapNearLive) {
+  constexpr std::size_t kEvents = 10'000;
+  Rng rng{2029};
+  EventQueue q;
+  std::vector<EventHandle> handles;
+  std::vector<std::pair<SimTime, std::size_t>> keys;  // (time, seq)
+  std::vector<std::size_t> fired;
+  for (std::size_t i = 0; i < kEvents; ++i) {
+    // Few distinct times, so equal-time ties are common.
+    const auto when = static_cast<SimTime>(rng.uniform_index(1'000));
+    handles.push_back(q.schedule(when, [&fired, i] { fired.push_back(i); }));
+    keys.emplace_back(when, i);
+  }
+  // A seeded 90%, cancelled in shuffled order so they hit the whole heap.
+  std::vector<std::size_t> order(kEvents);
+  for (std::size_t i = 0; i < kEvents; ++i) order[i] = i;
+  for (std::size_t i = kEvents - 1; i > 0; --i) {
+    std::swap(order[i], order[rng.uniform_index(i + 1)]);
+  }
+  std::vector<bool> cancelled(kEvents, false);
+  std::size_t live = kEvents;
+  for (std::size_t k = 0; k < kEvents * 9 / 10; ++k) {
+    ASSERT_TRUE(handles[order[k]].cancel());
+    cancelled[order[k]] = true;
+    --live;
+    ASSERT_LE(q.size(), 2 * live + EventQueue::kCompactFloor)
+        << "after " << k + 1 << " cancels";
+  }
+  for (std::size_t i = 0; i < kEvents; ++i) {
+    if (!cancelled[i]) continue;
+    EXPECT_FALSE(handles[i].pending()) << i;
+    EXPECT_FALSE(handles[i].cancel()) << i;
+  }
+  std::sort(keys.begin(), keys.end());
+  std::vector<std::size_t> expected;
+  for (const auto& [when, i] : keys) {
+    if (!cancelled[i]) expected.push_back(i);
+  }
+  SimTime prev = 0;
+  while (!q.empty()) {
+    auto [when, fn] = q.pop();
+    ASSERT_GE(when, prev);
+    prev = when;
+    fn();
+  }
+  EXPECT_EQ(fired, expected);
+  EXPECT_EQ(q.size(), 0u);
 }
 
 TEST(EventQueue, RandomizedOrderProperty) {

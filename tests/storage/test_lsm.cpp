@@ -5,6 +5,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -161,6 +162,58 @@ TEST(Lsm, LastLevelCompactionDropsTombstones) {
   EXPECT_EQ(store.runs_in_level(0), 0u);
   EXPECT_EQ(store.runs_in_level(1), 0u);
   EXPECT_EQ(store.size(), 0u);
+}
+
+/// find() is the one point lookup and get() copies its answer: wherever a
+/// key is found or not, both give the same answer and move the lookup
+/// counters by the same amounts.
+TEST(Lsm, FindAgreesWithGet) {
+  LsmStore store;  // default options: nothing flushes or compacts unasked
+  store.put("old", "in the older run");
+  store.put("shadowed", "under a newer tombstone");
+  store.flush();
+  store.put("new", "in the newest run");
+  store.erase("shadowed");
+  store.flush();
+  store.put("mem", "in the memtable");
+  store.put("mem-deleted", "erased in the memtable");
+  store.erase("mem-deleted");
+  ASSERT_EQ(store.runs_in_level(0), 2u);
+
+  struct Case {
+    const char* key;
+    std::optional<std::string> want;
+  };
+  const Case cases[] = {{"mem", "in the memtable"},
+                        {"mem-deleted", std::nullopt},
+                        {"new", "in the newest run"},
+                        {"old", "in the older run"},
+                        {"shadowed", std::nullopt},
+                        {"absent", std::nullopt}};
+  for (const Case& c : cases) {
+    const LsmStats s0 = store.stats();
+    const std::optional<std::string_view> found = store.find(c.key);
+    const LsmStats s1 = store.stats();
+    const std::optional<std::string> got = store.get(c.key);
+    const LsmStats s2 = store.stats();
+    EXPECT_EQ(got, c.want) << c.key;
+    ASSERT_EQ(found.has_value(), got.has_value()) << c.key;
+    if (found) {
+      EXPECT_EQ(*found, *got) << c.key;
+    }
+    EXPECT_EQ(s1.gets - s0.gets, 1u) << c.key;
+    EXPECT_EQ(s2.gets - s1.gets, 1u) << c.key;
+    EXPECT_EQ(s1.sstable_probes - s0.sstable_probes,
+              s2.sstable_probes - s1.sstable_probes)
+        << c.key;
+    EXPECT_EQ(s1.bloom_skips - s0.bloom_skips, s2.bloom_skips - s1.bloom_skips)
+        << c.key;
+  }
+  // "absent" is a bloom-negative miss: both runs' filters rule it out.
+  const LsmStats before = store.stats();
+  EXPECT_FALSE(store.find("absent").has_value());
+  EXPECT_EQ(store.stats().bloom_skips - before.bloom_skips, 2u);
+  EXPECT_EQ(store.stats().sstable_probes, before.sstable_probes);
 }
 
 TEST(Lsm, BloomFiltersSkipProbesOnMisses) {
